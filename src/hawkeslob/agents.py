@@ -27,8 +27,8 @@ from typing import Optional, Protocol, Tuple
 import numpy as np
 
 from .env import Observation
-from .events import EventType, Impulse
-from .ppo import PolicyNets, act as policy_act
+from .events import EventType, Impulse, RESTRICTED_IMPULSES
+from .ppo import SUB_MASK_IDX, PolicyNets, sample_action
 from .rng import RandomStream
 
 Action = Tuple[int, Optional[Impulse]]
@@ -145,12 +145,9 @@ class CheckpointAgent:
 
     def __init__(self, nets: PolicyNets, rng: RandomStream,
                  deterministic: bool = False):
-        from .events import RESTRICTED_IMPULSES
         self.nets = nets
         self.rng = rng
         self.deterministic = deterministic
-        self._restricted = RESTRICTED_IMPULSES
-        self._restricted_idx = np.array([int(p) for p in RESTRICTED_IMPULSES])
 
     @classmethod
     def load(cls, path: str, rng: RandomStream,
@@ -158,20 +155,16 @@ class CheckpointAgent:
         return cls(PolicyNets.load(path), rng, deterministic)
 
     def act(self, obs: Observation, mask: np.ndarray) -> Action:
-        sub_mask = mask[self._restricted_idx]
+        if not self.deterministic:
+            return sample_action(self.nets, obs, mask, self.rng)[0]
+        sub_mask = mask[SUB_MASK_IDX]
         features = self.nets.features(obs)
-        if self.deterministic:
-            z = float(self.nets.decision.forward(features)[0])
-            if z <= 0.0 or not sub_mask.any():
-                return 0, None
-            logits = self.nets.action.forward(features)
-            logits = np.where(sub_mask, logits, -np.inf)
-            return 1, self._restricted[int(np.argmax(logits))]
-        decision, a_idx, _, _ = policy_act(self.nets, features, sub_mask,
-                                           self.rng)
-        if decision == 0:
+        z = float(self.nets.decision.forward(features)[0])
+        if z <= 0.0 or not sub_mask.any():
             return 0, None
-        return 1, self._restricted[a_idx]
+        logits = self.nets.action.forward(features)
+        logits = np.where(sub_mask, logits, -np.inf)
+        return 1, RESTRICTED_IMPULSES[int(np.argmax(logits))]
 
 
 def make_agent(spec: str, rng: RandomStream,

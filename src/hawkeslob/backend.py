@@ -11,7 +11,8 @@ variable:
 
 Both paths execute the same source and the same libm calls, so simulation
 output is bit-identical across backends (see ``tests/test_backends.py`` and
-``benchmarks/backend_bench.py``).
+``python3 perfbench/run.py --parity``). numba is the optional ``jit``
+extra of the package.
 """
 
 import os

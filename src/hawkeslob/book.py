@@ -16,7 +16,7 @@ documented in :mod:`hawkeslob._kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -227,7 +227,3 @@ def sample_initial_state(config: BookInitConfig, rng: RandomStream,
         inventory = int(round(rng.normal(0.0, config.inventory_std)))
     agent = AgentBookState(cash=initial_cash, inventory=inventory)
     return book, agent
-
-
-def replace_agent(agent: AgentBookState, **kwargs) -> AgentBookState:
-    return replace(agent, **kwargs)

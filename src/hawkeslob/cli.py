@@ -19,9 +19,8 @@ from typing import Optional
 from .agents import ProbAgentConfig, make_agent
 from .book import BookInitConfig
 from .env import EpisodeConfig, MarketMakingEnv
-from .metrics import (config_hash, evaluate_agent, run_episode,
-                      write_episodes_csv, write_summary_json,
-                      write_trace_csv)
+from .metrics import (config_hash, evaluate_agent, write_episodes_csv,
+                      write_summary_json)
 from .params import KernelParams, default_kernel_params
 from .ppo import TrainerConfig, train
 from .qvi import dynkin_check
@@ -129,12 +128,8 @@ def _cmd_simulate(args, app: AppConfig) -> int:
                        app.prob_agent)
     env = MarketMakingEnv(app.kernel, app.episode, app.init,
                           record_trace=True)
-    stats_rows = []
-    for e in range(args.episodes):
-        stats, _ = run_episode(env, agent, derive_seed(args.seed, 0xEA1, e))
-        stats.episode = e
-        stats_rows.append(stats)
-        write_trace_csv(os.path.join(args.out_dir, f"trace_{e}.csv"), env)
+    _, stats_rows = evaluate_agent(env, agent, args.episodes, seed=args.seed,
+                                   trace_dir=args.out_dir)
     write_episodes_csv(os.path.join(args.out_dir, "episodes.csv"),
                        stats_rows)
     summary = {
@@ -163,16 +158,11 @@ def _cmd_eval(args, app: AppConfig) -> int:
                        app.prob_agent)
     env = MarketMakingEnv(app.kernel, app.episode, app.init,
                           record_trace=args.traces)
-    summary, episodes = evaluate_agent(env, agent, args.episodes,
-                                       seed=args.seed,
-                                       config_docs=app.docs())
+    summary, episodes = evaluate_agent(
+        env, agent, args.episodes, seed=args.seed, config_docs=app.docs(),
+        trace_dir=args.out_dir if args.traces else None)
     write_summary_json(os.path.join(args.out_dir, "summary.json"), summary)
     write_episodes_csv(os.path.join(args.out_dir, "episodes.csv"), episodes)
-    if args.traces:
-        for e in range(args.episodes):
-            run_episode(env, agent, derive_seed(args.seed, 0xEA1, e))
-            write_trace_csv(os.path.join(args.out_dir, f"trace_{e}.csv"),
-                            env)
     sharpe = "undefined" if summary.sharpe is None else repr(summary.sharpe)
     print(f"agent={summary.agent} episodes={summary.n_episodes} "
           f"mean_pnl={summary.mean_pnl!r} sharpe={sharpe}")

@@ -33,9 +33,10 @@ import numpy as np
 from . import _kernels as _k
 from .book import (AgentBookState, BookInitConfig, BookState, FillReport,
                    pack_state, sample_initial_state, unpack_state)
-from .events import Impulse, N_EVENT_TYPES, RESTRICTED_IMPULSES
+from .events import Impulse, N_EVENT_TYPES
 from .hawkes import HawkesClock
-from .intervention import InadmissibleImpulseError, admissible_mask
+from .intervention import (ALL_IDX, RESTRICTED_IDX, InadmissibleImpulseError,
+                           admissible_arr, mask_arr)
 from .params import KernelParams, default_kernel_params
 from .rng import RandomStream, derive_seed
 
@@ -213,10 +214,12 @@ class MarketMakingEnv:
         return float(self._cash_arr[0]) + self._inventory() * self._p_mid()
 
     def admissible_mask(self) -> np.ndarray:
-        book, agent = self.state()
-        return admissible_mask(
-            book, agent,
-            restricted=self.config.action_set == ACTION_SET_RESTRICTED)
+        return mask_arr(self._book_arr, self._impulses())
+
+    def _impulses(self) -> tuple:
+        if self.config.action_set == ACTION_SET_RESTRICTED:
+            return RESTRICTED_IDX
+        return ALL_IDX
 
     def _inventory(self) -> int:
         return int(self._book_arr[_k.YINV])
@@ -257,11 +260,10 @@ class MarketMakingEnv:
         action_name = ""
         if decision == 1:
             psi = Impulse(impulse)
-            if (cfg.action_set == ACTION_SET_RESTRICTED
-                    and psi not in RESTRICTED_IMPULSES):
+            if psi not in self._impulses():
                 raise InadmissibleImpulseError(
                     f"{psi.name} not in the restricted action set")
-            if not self.admissible_mask()[int(psi)]:
+            if not admissible_arr(self._book_arr, psi):
                 raise InadmissibleImpulseError(
                     f"{psi.name} inadmissible in current state")
             _k.apply_impulse(self._book_arr, self._cash_arr, int(psi),
@@ -323,3 +325,12 @@ class MarketMakingEnv:
                                                  price=float(self._ev_px[i])))
             if not overflow:
                 break
+
+
+def episode_pnl(env) -> float:
+    """Mark-to-market wealth change net of the terminal inventory fee."""
+    fee = 0.0
+    if env.config.fee_bps > 0:
+        book, agent = env.state()
+        fee = env.config.fee_bps * 1e-4 * abs(agent.inventory) * book.p_mid
+    return env.mark_to_market() - env.config.initial_cash - fee

@@ -89,16 +89,3 @@ IMPULSE_KIND = np.array(
 
 # Ask type <-> bid type under the ask/bid mirror symmetry.
 MIRROR_EVENT = np.array([11, 7, 8, 9, 10, 6, 5, 1, 2, 3, 4, 0], dtype=np.int64)
-
-
-def mirror_event(e: EventType) -> EventType:
-    return EventType(int(MIRROR_EVENT[int(e)]))
-
-
-def event_side(e: EventType) -> int:
-    """1 for ask-side events, 0 for bid-side."""
-    return int(EVENT_SIDE[int(e)])
-
-
-def impulse_side(psi: Impulse) -> int:
-    return int(IMPULSE_SIDE[int(psi)])

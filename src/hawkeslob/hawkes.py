@@ -57,20 +57,6 @@ class HawkesClock:
     def n_events(self) -> int:
         return int(self.counts.sum())
 
-    def copy(self) -> "HawkesClock":
-        dup = HawkesClock.__new__(HawkesClock)
-        dup.params = self.params
-        dup._kind, dup._mu, dup._a1, dup._a2, dup._a3, dup._horizon = \
-            self._kind, self._mu, self._a1, self._a2, self._a3, self._horizon
-        dup.exc = self.exc.copy()
-        dup.counts = self.counts.copy()
-        dup.clock_f = self.clock_f.copy()
-        dup.clock_i = self.clock_i.copy()
-        dup.log_t = self.log_t.copy()
-        dup.log_e = self.log_e.copy()
-        dup._lam_buf = np.empty_like(self._lam_buf)
-        return dup
-
     # -- queries -------------------------------------------------------------
 
     def intensities(self, t: Optional[float] = None) -> np.ndarray:
@@ -91,9 +77,6 @@ class HawkesClock:
         if not 0 <= i < self.params.n_types:
             raise IndexError(f"event type index {i} out of range")
         return float(self.intensities(t)[i])
-
-    def total_intensity(self, t: Optional[float] = None) -> float:
-        return float(self.intensities(t).sum())
 
     def history_features(self, window: float) -> np.ndarray:
         """Per-type counts over [now - window, now] plus time since last.

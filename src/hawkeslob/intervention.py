@@ -19,36 +19,58 @@ from state deltas so it is never double counted.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from . import _kernels as _k
 from .book import (AgentBookState, BookState, QueueRedrawPolicy, pack_state,
                    unpack_state)
-from .events import (KIND_CO_T, KIND_IS, KIND_LO_D, KIND_LO_T, KIND_MO,
-                     IMPULSE_KIND, IMPULSE_SIDE, Impulse, N_IMPULSES,
-                     RESTRICTED_IMPULSES)
+from .events import (KIND_CO_T, KIND_IS, KIND_MO, IMPULSE_KIND,
+                     IMPULSE_SIDE, Impulse, N_IMPULSES, RESTRICTED_IMPULSES)
 from .rng import RandomStream
+
+ALL_IDX = tuple(range(N_IMPULSES))
+RESTRICTED_IDX = tuple(int(psi) for psi in RESTRICTED_IMPULSES)
+
+# Per impulse: its action kind and the book slot of its side's priority.
+_RULE = tuple((int(kind), _k.NA if side else _k.NB)
+              for kind, side in zip(IMPULSE_KIND, IMPULSE_SIDE))
 
 
 class InadmissibleImpulseError(ValueError):
     pass
 
 
-def admissible(book: BookState, agent: AgentBookState, psi: Impulse) -> bool:
-    kind = int(IMPULSE_KIND[int(psi)])
-    side_ask = bool(IMPULSE_SIDE[int(psi)])
-    n = agent.n_ask if side_ask else agent.n_bid
+def admissible_arr(book, psi: int) -> bool:
+    """The admissibility rules on the ``int64[9]`` book layout.
+
+    ``book`` is the book array or its ``tolist()``; a priority of -1 means
+    the agent does not rest on that side.
+    """
+    kind, slot = _RULE[psi]
+    n = book[slot]
     if kind == KIND_CO_T:
-        return n is not None
+        return bool(n >= 0)
     if kind == KIND_MO:
-        return n != 0
-    if kind in (KIND_LO_T, KIND_LO_D):
-        return n is None
-    if kind == KIND_IS:
-        return n is None and book.spread_ticks > 1
-    raise ValueError(f"unknown impulse {psi}")
+        return bool(n != 0)
+    if kind == KIND_IS and book[_k.PA] - book[_k.PB] <= 1:
+        return False
+    return bool(n < 0)
+
+
+def mask_arr(book: np.ndarray, impulses: Iterable[int]) -> np.ndarray:
+    """Boolean mask over the canonical impulse order, zero outside
+    ``impulses``."""
+    values = book.tolist()
+    mask = np.zeros(N_IMPULSES, dtype=bool)
+    for psi in impulses:
+        mask[psi] = admissible_arr(values, psi)
+    return mask
+
+
+def admissible(book: BookState, agent: AgentBookState, psi: Impulse) -> bool:
+    return admissible_arr(pack_state(book, agent)[0], int(psi))
 
 
 def admissible_mask(book: BookState, agent: AgentBookState,
@@ -58,11 +80,8 @@ def admissible_mask(book: BookState, agent: AgentBookState,
     With ``restricted`` the mask is zeroed outside the top-of-book
     quote/cancel subset used by the learning agents.
     """
-    mask = np.zeros(N_IMPULSES, dtype=bool)
-    allowed = RESTRICTED_IMPULSES if restricted else tuple(Impulse)
-    for psi in allowed:
-        mask[int(psi)] = admissible(book, agent, psi)
-    return mask
+    return mask_arr(pack_state(book, agent)[0],
+                    RESTRICTED_IDX if restricted else ALL_IDX)
 
 
 def apply_impulse(book: BookState, agent: AgentBookState, psi: Impulse,
@@ -70,18 +89,11 @@ def apply_impulse(book: BookState, agent: AgentBookState, psi: Impulse,
                   replenish: QueueRedrawPolicy = QueueRedrawPolicy(),
                   ) -> Tuple[BookState, AgentBookState, float]:
     """State-intervention map; returns (book', agent', K)."""
-    if not admissible(book, agent, psi):
+    arr, cash = pack_state(book, agent)
+    if not admissible_arr(arr, int(psi)):
         raise InadmissibleImpulseError(
             f"impulse {Impulse(psi).name} inadmissible in current state")
-    arr, cash = pack_state(book, agent)
     k_cash = _k.apply_impulse(arr, cash, int(psi), book.tick,
                               replenish.p, rng.state)
     book2, agent2 = unpack_state(arr, cash, book.tick)
     return book2, agent2, float(k_cash)
-
-
-def impulse_from_name(name: str) -> Optional[Impulse]:
-    try:
-        return Impulse[name]
-    except KeyError:
-        return None

@@ -14,13 +14,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .env import MarketMakingEnv
-from .ppo import episode_pnl
+from .env import MarketMakingEnv, episode_pnl
 from .rng import derive_seed
 
 SECONDS_PER_TRADING_YEAR = 252 * 6.5 * 3600.0
@@ -109,6 +108,9 @@ def config_hash(*docs: dict) -> str:
 
 @dataclass
 class EpisodeStats:
+    """One episode's outcome. ``action_counts`` counts impulses by name;
+    ``transitions`` is filled by PPO rollouts only."""
+
     episode: int
     pnl: float
     mean_abs_inventory: float
@@ -116,52 +118,62 @@ class EpisodeStats:
     n_interventions: int
     pump_and_dump: bool
     pump_score: float
+    action_counts: Dict[str, int]
+    total_reward: float
+    transitions: list = field(default_factory=list)
 
 
 def run_episode(env: MarketMakingEnv, agent, seed: int,
-                ) -> Tuple[EpisodeStats, List]:
-    """Run one seeded episode; returns stats and the step trace."""
+                ) -> Tuple[EpisodeStats, List[float]]:
+    """Run one seeded episode with ``agent.act(obs, mask)`` choosing every
+    step; returns the stats and each step's total reward.
+
+    This is the only episode loop: evaluation passes an agent, PPO
+    training a recording policy.
+    """
     obs = env.reset(seed=seed)
-    abs_inv = []
-    times = []
-    inv = []
-    n_interventions = 0
+    rewards: List[float] = []
+    inventory: List[int] = []
     action_counts: Dict[str, int] = {}
     done = False
     while not done:
-        mask = env.admissible_mask()
-        decision, psi = agent.act(obs, mask)
+        decision, psi = agent.act(obs, env.admissible_mask())
+        obs, reward, done = env.step(decision, psi)
         if decision == 1:
-            obs, reward, done = env.step(1, psi)
-            n_interventions += 1
             action_counts[psi.name] = action_counts.get(psi.name, 0) + 1
-        else:
-            obs, reward, done = env.step(0)
-        abs_inv.append(abs(obs.inventory))
-        times.append(env.t)
-        inv.append(obs.inventory)
-    flagged, score = detect_pump_and_dump(times, inv)
+        rewards.append(reward.total)
+        inventory.append(obs.inventory)
+    times = env.config.decision_dt * np.arange(1, len(rewards) + 1)
+    flagged, score = detect_pump_and_dump(times, inventory)
     stats = EpisodeStats(
         episode=0, pnl=episode_pnl(env),
-        mean_abs_inventory=float(np.mean(abs_inv)),
-        n_fills=len(env.fills), n_interventions=n_interventions,
-        pump_and_dump=flagged, pump_score=score)
-    return stats, action_counts
+        mean_abs_inventory=float(np.mean(np.abs(inventory))),
+        n_fills=len(env.fills),
+        n_interventions=sum(action_counts.values()),
+        pump_and_dump=flagged, pump_score=score,
+        action_counts=action_counts, total_reward=float(env.total_reward))
+    return stats, rewards
 
 
 def evaluate_agent(env: MarketMakingEnv, agent, n_episodes: int, seed: int,
                    config_docs: Sequence[dict] = (),
+                   trace_dir: Optional[str] = None,
                    ) -> Tuple[RunSummary, List[EpisodeStats]]:
-    """Evaluate over seeded episodes; reproducible bit-for-bit from seed."""
+    """Evaluate over seeded episodes; reproducible bit-for-bit from seed.
+
+    With ``trace_dir``, episode ``e``'s step trace is written there as
+    ``trace_<e>.csv`` (the env must record traces).
+    """
     episodes: List[EpisodeStats] = []
     histogram: Dict[str, int] = {}
     for e in range(n_episodes):
-        stats, action_counts = run_episode(env, agent,
-                                           derive_seed(seed, 0xEA1, e))
+        stats, _ = run_episode(env, agent, derive_seed(seed, 0xEA1, e))
         stats.episode = e
         episodes.append(stats)
-        for name, count in action_counts.items():
+        for name, count in stats.action_counts.items():
             histogram[name] = histogram.get(name, 0) + count
+        if trace_dir is not None:
+            write_trace_csv(os.path.join(trace_dir, f"trace_{e}.csv"), env)
     pnls = [s.pnl for s in episodes]
     sharpe = None
     if len(pnls) >= 2:

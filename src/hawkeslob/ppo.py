@@ -20,21 +20,23 @@ import heapq
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .env import (EpisodeConfig, MarketMakingEnv, OBS_BLOCKS, OBS_DIM,
                   Observation)
-from .events import RESTRICTED_IMPULSES
+from .events import Impulse, RESTRICTED_IMPULSES
 from .book import BookInitConfig
+from .intervention import RESTRICTED_IDX
+from .metrics import EpisodeStats, run_episode
 from .nn import DenseNet, Gradients
 from .params import KernelParams
 from .rng import RandomStream, derive_seed
 
 N_ACTIONS = len(RESTRICTED_IMPULSES)
-_RESTRICTED_IDX = np.array([int(p) for p in RESTRICTED_IMPULSES])
+SUB_MASK_IDX = np.array(RESTRICTED_IDX)
 
 ABLATION_CHOICES = ("none", "history", "intensity", "spread",
                     "relative-position")
@@ -190,10 +192,6 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_sigmoid(z))
-
-
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax over admissible entries; -inf elsewhere.
 
@@ -263,14 +261,22 @@ class Transition:
     adv: float = math.nan
 
 
-@dataclass
-class EpisodeResult:
-    transitions: List[Transition]
-    pnl: float
-    mean_abs_inventory: float
-    n_fills: int
-    action_counts: Dict[str, int]
-    total_reward: float
+def sample_action(nets: PolicyNets, obs: Observation, mask: np.ndarray,
+                  rng: RandomStream,
+                  ) -> Tuple[Tuple[int, Optional[Impulse]], Transition]:
+    """Sample the policy given admissibility over the full impulse order.
+
+    Returns the env action ``(decision, impulse or None)`` and the step's
+    transition, whose reward, return and advantage are not yet known.
+    """
+    sub_mask = mask[SUB_MASK_IDX]
+    features = nets.features(obs)
+    decision, a_idx, logp, value = act(nets, features, sub_mask, rng)
+    record = Transition(features=features, decision=decision, action=a_idx,
+                        logp=logp, reward=math.nan, value=value,
+                        mask=sub_mask)
+    return (decision, RESTRICTED_IMPULSES[a_idx] if decision else None), \
+        record
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, discount: float,
@@ -490,49 +496,36 @@ def combined_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],
 # Rollouts and the training loop
 # ---------------------------------------------------------------------------
 
-def episode_pnl(env) -> float:
-    """Mark-to-market wealth change net of the terminal inventory fee."""
-    fee = 0.0
-    if env.config.fee_bps > 0:
-        book, agent = env.state()
-        fee = env.config.fee_bps * 1e-4 * abs(agent.inventory) * book.p_mid
-    return env.mark_to_market() - env.config.initial_cash - fee
+class _RecordingPolicy:
+    """``run_episode`` agent that samples the policy and keeps each step's
+    transition."""
+
+    def __init__(self, nets: PolicyNets, rng: RandomStream):
+        self.nets = nets
+        self.rng = rng
+        self.transitions: List[Transition] = []
+
+    def act(self, obs: Observation, mask: np.ndarray):
+        action, record = sample_action(self.nets, obs, mask, self.rng)
+        self.transitions.append(record)
+        return action
 
 
 def rollout_episode(env, nets: PolicyNets, rng: RandomStream,
                     env_seed: int, discount: float = 0.999,
-                    gae_lambda: float = 0.95) -> EpisodeResult:
-    obs = env.reset(seed=env_seed)
-    transitions: List[Transition] = []
-    abs_inv = []
-    action_counts: Dict[str, int] = {"HOLD": 0}
-    done = False
-    while not done:
-        mask = env.admissible_mask()[_RESTRICTED_IDX]
-        features = nets.features(obs)
-        decision, a_idx, logp, value = act(nets, features, mask, rng)
-        if decision == 1:
-            psi = RESTRICTED_IMPULSES[a_idx]
-            obs, reward, done = env.step(1, psi)
-            action_counts[psi.name] = action_counts.get(psi.name, 0) + 1
-        else:
-            obs, reward, done = env.step(0)
-            action_counts["HOLD"] += 1
-        transitions.append(Transition(
-            features=features, decision=decision, action=a_idx,
-            logp=logp, reward=reward.total, value=value, mask=mask.copy()))
-        abs_inv.append(abs(obs.inventory))
-    rewards = np.array([tr.reward for tr in transitions])
+                    gae_lambda: float = 0.95) -> EpisodeStats:
+    """One training episode; its stats carry the GAE-labelled transitions."""
+    policy = _RecordingPolicy(nets, rng)
+    stats, rewards = run_episode(env, policy, env_seed)
+    transitions = policy.transitions
     values = np.array([tr.value for tr in transitions])
-    adv, ret = compute_gae(rewards, values, discount, gae_lambda)
-    for tr, a, r in zip(transitions, adv, ret):
+    adv, ret = compute_gae(np.array(rewards), values, discount, gae_lambda)
+    for tr, r, a, g in zip(transitions, rewards, adv, ret):
+        tr.reward = r
         tr.adv = float(a)
-        tr.ret = float(r)
-    return EpisodeResult(
-        transitions=transitions, pnl=episode_pnl(env),
-        mean_abs_inventory=float(np.mean(abs_inv)),
-        n_fills=len(env.fills), action_counts=action_counts,
-        total_reward=float(env.total_reward))
+        tr.ret = float(g)
+    stats.transitions = transitions
+    return stats
 
 
 @dataclass
@@ -638,8 +631,9 @@ def train(kernel_params: KernelParams, episode_config: EpisodeConfig,
                 "value_loss": stats.get("value_loss", float("nan")),
                 "entropy": stats.get("entropy", float("nan")),
                 "sil_loss": stats.get("sil_loss", float("nan")),
-                "action_counts": json.dumps(res.action_counts,
-                                            sort_keys=True),
+                "action_counts": json.dumps(
+                    {"HOLD": len(res.transitions) - res.n_interventions,
+                     **res.action_counts}, sort_keys=True),
             })
         if out_dir and tc.checkpoint_every and \
                 update % tc.checkpoint_every == 0 and update < n_updates:

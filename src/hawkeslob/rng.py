@@ -49,12 +49,6 @@ class RandomStream:
         """Uniform in (0, 1]."""
         return float(_k.rng_uniform(self.state))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = _k.rng_uniform(self.state)
-        return out
-
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         return mean + std * float(_k.rng_normal(self.state))
 
@@ -78,10 +72,6 @@ class RandomStream:
             idx[i], idx[j] = idx[j], idx[i]
         return idx
 
-    def choice(self, candidates, k: int = 1) -> list:
-        """Sample ``k`` items with replacement."""
-        return [candidates[self.integer(len(candidates))] for _ in range(k)]
-
     def spawn(self, *keys: int) -> "RandomStream":
         """Independent child stream keyed by ``keys``."""
         base = int(self.state[0]) ^ (int(self.state[1]) << 16) \
@@ -93,8 +83,3 @@ class RandomStream:
 
     def setstate(self, values) -> None:
         self.state[:] = np.asarray(values, dtype=np.uint64)
-
-    def copy(self) -> "RandomStream":
-        dup = RandomStream(0)
-        dup.state[:] = self.state
-        return dup

@@ -6,7 +6,8 @@ Grid axes: ``eta`` (inventory penalty), ``fee_bps`` (terminal fee),
 agent and evaluates it out-of-sample with seeds matched across cells
 (derived from the base seed and the evaluation stream only), so cells
 differ by the swept parameters alone. Infeasible cells are recorded as
-failed rows and the sweep continues.
+failed rows (``failed: <exception class>: <message>``, on one line) and
+the sweep continues.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def run_sweep(grid: Dict[str, Sequence], episode_config: EpisodeConfig,
             row.update(run_cell(cell, episode_config, trainer_config,
                                 init_config, seed, eval_episodes))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            row.update({"status": f"failed: {type(exc).__name__}",
+            message = " ".join(str(exc).split())
+            row.update({"status": f"failed: {type(exc).__name__}: {message}",
                         "mean_pnl": "", "sharpe": "",
                         "mean_abs_inventory": "",
                         "pump_and_dump_fraction": "", "degenerate": ""})

@@ -182,3 +182,28 @@ class TestCLI:
               "--eval-episodes", "2"])
         lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+
+class TestSweepFailureMessage:
+    def test_failed_row_keeps_message(self):
+        tc = TrainerConfig(total_episodes=2, episodes_per_update=2,
+                           epochs_per_update=1, hidden_sizes=(4,))
+        rows = run_sweep({"eta": [-1.0]}, EpisodeConfig(horizon=5.0), tc,
+                         BookInitConfig(), seed=3, eval_episodes=2)
+        assert rows[0]["status"] == \
+            "failed: ValueError: eta, kappa and fee_bps must be >= 0"
+
+    def test_multiline_message_on_one_line(self, monkeypatch, tmp_path):
+        import hawkeslob.sweep as sweep
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("first line\n  second line")
+
+        monkeypatch.setattr(sweep, "run_cell", boom)
+        out = tmp_path / "sweep.csv"
+        rows = run_sweep({"eta": [1.0]}, EpisodeConfig(horizon=5.0),
+                         TrainerConfig(), BookInitConfig(), seed=3,
+                         out_csv=str(out))
+        assert rows[0]["status"] == \
+            "failed: RuntimeError: first line second line"
+        assert len(out.read_text().splitlines()) == 2
