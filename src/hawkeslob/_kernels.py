@@ -22,13 +22,23 @@ Book state is ``int64[9]``::
     3 QB  bid top size               8 Y    agent inventory
     4 QAD ask second-level size
 
-Cash is ``float64[1]`` (currency). Clock state is ``float64[5]``
-(now, excitation anchor time, pending thinning candidate time or nan,
-last event time or nan, pending proposal bound) plus ``int64[2]``
-(event-log write position, event-log size).
+Cash is ``float64[1]`` (currency).
+
+Clock state is one block of leading arguments, shared by every clock
+kernel::
+
+    kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts, log_t, log_e
+
+``HawkesClock`` builds it once as ``clock.state``, and callers pass
+``*clock.state``. ``clock_f`` is ``float64[4]`` (now, excitation anchor
+time, pending thinning candidate time or nan, pending proposal bound);
+``clock_i`` is ``int64[2]`` (event-log write position, event-log size).
+The newest log entry holds the last event time.
 
 Randomness draw discipline (transition functions); the order is part of
-the replay contract:
+the replay contract. ``exogenous_draws`` and ``impulse_draws`` are its one
+implementation: ``apply_exogenous`` / ``apply_impulse`` sample from them
+and ``qvi`` enumerates from them. They return ``(p_hit, redraw)``:
 
 * exogenous CO_T, top queue >= 2, agent resting in the top queue with
   0 < n < q: one uniform (hit ~ Bernoulli(n/q));
@@ -43,16 +53,16 @@ import math
 import numpy as np
 
 from .backend import njit
-from .events import EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE
+from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
+                     KIND_CO_D, KIND_CO_T, KIND_IS, KIND_LO_D, KIND_LO_T,
+                     KIND_MO)
 
 # --- book array slots -------------------------------------------------------
 PA, PB, QA, QB, QAD, QBD, NA, NB, YINV = 0, 1, 2, 3, 4, 5, 6, 7, 8
 # --- clock float slots ------------------------------------------------------
-CK_NOW, CK_ANCHOR, CK_PEND_T, CK_LAST, CK_PEND_BOUND = 0, 1, 2, 3, 4
+CK_NOW, CK_ANCHOR, CK_PEND_T, CK_PEND_BOUND = 0, 1, 2, 3
 # --- clock int slots --------------------------------------------------------
 CK_LOG_NEXT, CK_LOG_SIZE = 0, 1
-# --- action kinds (mirrors events.py) ---------------------------------------
-K_LO_D, K_LO_T, K_CO_T, K_CO_D, K_MO, K_IS = 0, 1, 2, 3, 4, 5
 
 KIND_EXP = 0
 KIND_POWERLAW = 1
@@ -154,20 +164,20 @@ def rng_geometric(st, p):
 # ---------------------------------------------------------------------------
 
 @njit
-def intensities_at(kind, mu, a1, a2, a3, exc, anchor, log_t, log_e,
-                   log_next, log_size, horizon, t, out):
+def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                   counts, log_t, log_e, t, out):
     """Fill ``out`` with per-type intensities at time ``t``; return total.
 
     Exponential kernels (kind 0): evaluates the pairwise excitation state
-    ``exc`` anchored at ``anchor`` without mutating it, so the value at a
-    given time does not depend on how many intermediate queries were made.
-    Power-law kernels (kind 1): direct sum over the event log, newest
-    first, truncated at ``horizon`` seconds of age.
+    ``exc`` anchored at the clock's anchor time without mutating it, so
+    the value at a given time does not depend on how many intermediate
+    queries were made. Power-law kernels (kind 1): direct sum over the
+    event log, newest first, truncated at ``horizon`` seconds of age.
     """
     d = mu.shape[0]
     total = 0.0
     if kind == KIND_EXP:
-        dt = t - anchor
+        dt = t - clock_f[CK_ANCHOR]
         for i in range(d):
             s = mu[i]
             for j in range(d):
@@ -180,7 +190,8 @@ def intensities_at(kind, mu, a1, a2, a3, exc, anchor, log_t, log_e,
         for i in range(d):
             out[i] = mu[i]
         cap = log_t.shape[0]
-        for k in range(log_size):
+        log_next = clock_i[CK_LOG_NEXT]
+        for k in range(clock_i[CK_LOG_SIZE]):
             idx = (log_next - 1 - k) % cap
             age = t - log_t[idx]
             if age > horizon:
@@ -196,8 +207,8 @@ def intensities_at(kind, mu, a1, a2, a3, exc, anchor, log_t, log_e,
 
 
 @njit
-def register_event(kind, a1, a2, exc, clock_f, clock_i, counts,
-                   log_t, log_e, t_ev, j_ev):
+def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                   counts, log_t, log_e, t_ev, j_ev):
     """Apply an event of type ``j_ev`` at time ``t_ev`` to the clock state.
 
     For exponential kernels the excitation state is decayed from its anchor
@@ -213,7 +224,6 @@ def register_event(kind, a1, a2, exc, clock_f, clock_i, counts,
                     exc[i, j] *= math.exp(-a2[i, j] * dt)
             exc[i, j_ev] += a1[i, j_ev]
     clock_f[CK_ANCHOR] = t_ev
-    clock_f[CK_LAST] = t_ev
     counts[j_ev] += 1
     cap = log_t.shape[0]
     pos = clock_i[CK_LOG_NEXT]
@@ -225,8 +235,8 @@ def register_event(kind, a1, a2, exc, clock_f, clock_i, counts,
 
 
 @njit
-def next_event(kind, mu, a1, a2, a3, exc, clock_f, clock_i, counts,
-               log_t, log_e, horizon, rng, t_max, lam_buf):
+def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
+               log_t, log_e, rng, t_max, lam_buf):
     """Ogata thinning step: next event at or before ``t_max``.
 
     Returns ``(t, type)`` with the clock's ``now`` advanced to ``t``, or
@@ -242,9 +252,8 @@ def next_event(kind, mu, a1, a2, a3, exc, clock_f, clock_i, counts,
     while True:
         if math.isnan(clock_f[CK_PEND_T]):
             lam_bar = intensities_at(
-                kind, mu, a1, a2, a3, exc, clock_f[CK_ANCHOR], log_t, log_e,
-                clock_i[CK_LOG_NEXT], clock_i[CK_LOG_SIZE], horizon,
-                clock_f[CK_NOW], lam_buf)
+                kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
+                log_t, log_e, clock_f[CK_NOW], lam_buf)
             if lam_bar <= 0.0:
                 clock_f[CK_NOW] = t_max
                 return t_max, -1
@@ -257,9 +266,8 @@ def next_event(kind, mu, a1, a2, a3, exc, clock_f, clock_i, counts,
             return t_max, -1
         lam_bar = clock_f[CK_PEND_BOUND]
         lam_tot = intensities_at(
-            kind, mu, a1, a2, a3, exc, clock_f[CK_ANCHOR], log_t, log_e,
-            clock_i[CK_LOG_NEXT], clock_i[CK_LOG_SIZE], horizon,
-            t_cand, lam_buf)
+            kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
+            log_t, log_e, t_cand, lam_buf)
         v = rng_uniform(rng) * lam_bar
         clock_f[CK_NOW] = t_cand
         clock_f[CK_PEND_T] = np.nan
@@ -275,34 +283,36 @@ def next_event(kind, mu, a1, a2, a3, exc, clock_f, clock_i, counts,
 
 
 @njit
-def hawkes_simulate(kind, mu, a1, a2, a3, exc, clock_f, clock_i, counts,
-                    log_t, log_e, horizon, rng, t_max, lam_buf,
-                    out_t, out_e):
+def hawkes_simulate(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                    counts, log_t, log_e, rng, t_max, lam_buf, out_t, out_e):
     """Sample-and-apply events up to ``t_max``; returns (count, overflow)."""
     cap = out_t.shape[0]
     n = 0
     while True:
         if n >= cap:
             return n, 1
-        t_ev, j_ev = next_event(kind, mu, a1, a2, a3, exc, clock_f, clock_i,
-                                counts, log_t, log_e, horizon, rng, t_max,
+        t_ev, j_ev = next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
+                                clock_i, counts, log_t, log_e, rng, t_max,
                                 lam_buf)
         if j_ev < 0:
             return n, 0
-        register_event(kind, a1, a2, exc, clock_f, clock_i, counts,
-                       log_t, log_e, t_ev, j_ev)
+        register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                       counts, log_t, log_e, t_ev, j_ev)
         out_t[n] = t_ev
         out_e[n] = j_ev
         n += 1
 
 
 @njit
-def history_counts(log_t, log_e, log_next, log_size, now, window, out):
+def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                   counts, log_t, log_e, window, out):
     """Per-type event counts over [now - window, now]."""
     for i in range(out.shape[0]):
         out[i] = 0
     cap = log_t.shape[0]
-    for k in range(log_size):
+    now = clock_f[CK_NOW]
+    log_next = clock_i[CK_LOG_NEXT]
+    for k in range(clock_i[CK_LOG_SIZE]):
         idx = (log_next - 1 - k) % cap
         if now - log_t[idx] > window:
             break
@@ -312,6 +322,14 @@ def history_counts(log_t, log_e, log_next, log_size, now, window, out):
 # ---------------------------------------------------------------------------
 # Book transitions
 # ---------------------------------------------------------------------------
+
+@njit
+def _side_slots(is_ask):
+    """(top size, second-level size, agent priority) slots of one side."""
+    if is_ask == 1:
+        return QA, QAD, NA
+    return QB, QBD, NB
+
 
 @njit
 def _promote_resolved(book, is_ask, redraw_val):
@@ -324,11 +342,6 @@ def _promote_resolved(book, is_ask, redraw_val):
         book[PB] -= 1
         book[QB] = book[QBD]
         book[QBD] = redraw_val
-
-
-@njit
-def _queue_redraw(rng, redraw_p):
-    return 1 + rng_geometric(rng, redraw_p)
 
 
 @njit
@@ -348,20 +361,17 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
     two-level window keeps q >= 1); a deep-resting agent order survives an
     in-spread arrival with its priority clamped to the visible window.
     """
-    if is_ask == 1:
-        iq, iqd, inn = QA, QAD, NA
-    else:
-        iq, iqd, inn = QB, QBD, NB
+    iq, iqd, inn = _side_slots(is_ask)
 
-    if act_kind == K_LO_D:
+    if act_kind == KIND_LO_D:
         book[iqd] += 1
         return 0
 
-    if act_kind == K_LO_T:
+    if act_kind == KIND_LO_T:
         book[iq] += 1
         return 0
 
-    if act_kind == K_IS:
+    if act_kind == KIND_IS:
         if book[PA] - book[PB] <= 1:
             return 0
         if is_ask == 1:
@@ -379,7 +389,7 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
             book[inn] = n_new
         return 0
 
-    if act_kind == K_CO_T:
+    if act_kind == KIND_CO_T:
         q = book[iq]
         n = book[inn]
         if q == 1:
@@ -397,7 +407,7 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
         book[iq] = q - 1
         return 0
 
-    if act_kind == K_CO_D:
+    if act_kind == KIND_CO_D:
         qd = book[iqd]
         if qd == 1:
             return 0
@@ -407,7 +417,7 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
         book[iqd] = qd - 1
         return 0
 
-    # K_MO
+    # KIND_MO
     n = book[inn]
     fill = 0
     if n == 0:
@@ -430,33 +440,46 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
 
 
 @njit
+def exogenous_draws(book, act_kind, is_ask):
+    """``(p_hit, redraw)`` of an exogenous event: a cancel-targeting
+    uniform (drawn when ``p_hit`` > 0) hits with probability ``p_hit``,
+    then a geometric queue redraw follows when ``redraw`` is 1."""
+    iq, iqd, inn = _side_slots(is_ask)
+    q = book[iq]
+    n = book[inn]
+    if act_kind == KIND_CO_T:
+        if q > 1 and 0 < n < q:
+            return float(n) / float(q), 0
+        if q == 1 and n != 0:
+            return 0.0, 1
+    elif act_kind == KIND_CO_D:
+        if book[iqd] > 1 and n > q:
+            return float(n - q) / float(book[iqd]), 0
+    elif act_kind == KIND_MO:
+        if q == 1:
+            return 0.0, 1
+    return 0.0, 0
+
+
+@njit
+def _sample_draws(rng, p_hit, redraw, redraw_p):
+    """Resolve ``(p_hit, redraw)`` into ``(hit, redraw_val)``."""
+    hit = 0
+    if p_hit > 0.0 and rng_uniform(rng) < p_hit:
+        hit = 1
+    redraw_val = 1
+    if redraw == 1:
+        redraw_val = 1 + rng_geometric(rng, redraw_p)
+    return hit, redraw_val
+
+
+@njit
 def apply_exogenous(book, cash, event, tick, redraw_p, rng):
     """Sample the event's randomness per the draw discipline, then apply."""
     act_kind = EVENT_KIND[event]
     is_ask = EVENT_SIDE[event]
-    if is_ask == 1:
-        iq, iqd, inn = QA, QAD, NA
-    else:
-        iq, iqd, inn = QB, QBD, NB
-    q = book[iq]
-    n = book[inn]
-    hit = 0
-    redraw_val = 1
-    if act_kind == K_CO_T:
-        if q > 1 and 0 < n < q:
-            u = rng_uniform(rng)
-            if u < float(n) / float(q):
-                hit = 1
-        elif q == 1 and n != 0:
-            redraw_val = _queue_redraw(rng, redraw_p)
-    elif act_kind == K_CO_D:
-        if book[iqd] > 1 and n > q:
-            u = rng_uniform(rng)
-            if u < float(n - q) / float(book[iqd]):
-                hit = 1
-    elif act_kind == K_MO:
-        if q == 1:
-            redraw_val = _queue_redraw(rng, redraw_p)
+    p_hit, redraw = exogenous_draws(book, act_kind, is_ask)
+    hit, redraw_val = _sample_draws(rng, p_hit, redraw, redraw_p)
     return apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
                                     hit, redraw_val)
 
@@ -469,22 +492,19 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
     instantaneous cash flow: zero for limit and cancel impulses, the
     trade's cash leg for market-order impulses.
     """
-    if is_ask == 1:
-        iq, iqd, inn = QA, QAD, NA
-    else:
-        iq, iqd, inn = QB, QBD, NB
+    iq, iqd, inn = _side_slots(is_ask)
 
-    if act_kind == K_LO_T:
+    if act_kind == KIND_LO_T:
         book[inn] = book[iq]
         book[iq] += 1
         return 0.0
 
-    if act_kind == K_LO_D:
+    if act_kind == KIND_LO_D:
         book[inn] = book[iq] + book[iqd]
         book[iqd] += 1
         return 0.0
 
-    if act_kind == K_IS:
+    if act_kind == KIND_IS:
         if is_ask == 1:
             book[PA] -= 1
         else:
@@ -494,7 +514,7 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
         book[inn] = 0
         return 0.0
 
-    if act_kind == K_CO_T:
+    if act_kind == KIND_CO_T:
         n = book[inn]
         q = book[iq]
         book[inn] = -1
@@ -510,7 +530,7 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
                 book[iqd] -= 1
         return 0.0
 
-    # K_MO: consume one unit at the top of this side's queue.
+    # KIND_MO: consume one unit at the top of this side's queue.
     k_cash = 0.0
     if is_ask == 1:
         k_cash = -float(book[PA]) * tick
@@ -531,22 +551,26 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
 
 
 @njit
+def impulse_draws(book, act_kind, is_ask):
+    """``(p_hit, redraw)`` of an agent impulse; ``p_hit`` is always 0."""
+    iq, iqd, inn = _side_slots(is_ask)
+    q = book[iq]
+    if act_kind == KIND_CO_T:
+        n = book[inn]
+        if (n < q and q == 1) or (n >= q and book[iqd] == 1):
+            return 0.0, 1
+    elif act_kind == KIND_MO:
+        if q == 1:
+            return 0.0, 1
+    return 0.0, 0
+
+
+@njit
 def apply_impulse(book, cash, impulse, tick, redraw_p, rng):
     act_kind = IMPULSE_KIND[impulse]
     is_ask = IMPULSE_SIDE[impulse]
-    if is_ask == 1:
-        iq, iqd, inn = QA, QAD, NA
-    else:
-        iq, iqd, inn = QB, QBD, NB
-    redraw_val = 1
-    if act_kind == K_CO_T:
-        n = book[inn]
-        q = book[iq]
-        if (n < q and q == 1) or (n >= q and book[iqd] == 1):
-            redraw_val = _queue_redraw(rng, redraw_p)
-    elif act_kind == K_MO:
-        if book[iq] == 1:
-            redraw_val = _queue_redraw(rng, redraw_p)
+    p_hit, redraw = impulse_draws(book, act_kind, is_ask)
+    _, redraw_val = _sample_draws(rng, p_hit, redraw, redraw_p)
     return apply_impulse_resolved(book, cash, act_kind, is_ask, tick,
                                   redraw_val)
 
@@ -556,9 +580,9 @@ def apply_impulse(book, cash, impulse, tick, redraw_p, rng):
 # ---------------------------------------------------------------------------
 
 @njit
-def advance_interval(kind, mu, a1, a2, a3, exc, clock_f, clock_i, counts,
-                     log_t, log_e, horizon, book, cash, tick, redraw_p,
-                     rng, t_end, lam_buf, out_t, out_e, out_fill, out_px):
+def advance_interval(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                     counts, log_t, log_e, book, cash, tick, redraw_p, rng,
+                     t_end, lam_buf, out_t, out_e, out_fill, out_px):
     """Advance the coupled Hawkes/LOB system to ``t_end``.
 
     Samples exogenous events by thinning and applies each to the book.
@@ -571,13 +595,13 @@ def advance_interval(kind, mu, a1, a2, a3, exc, clock_f, clock_i, counts,
     while True:
         if n >= cap:
             return n, 1
-        t_ev, j_ev = next_event(kind, mu, a1, a2, a3, exc, clock_f, clock_i,
-                                counts, log_t, log_e, horizon, rng, t_end,
+        t_ev, j_ev = next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
+                                clock_i, counts, log_t, log_e, rng, t_end,
                                 lam_buf)
         if j_ev < 0:
             return n, 0
-        register_event(kind, a1, a2, exc, clock_f, clock_i, counts,
-                       log_t, log_e, t_ev, j_ev)
+        register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                       counts, log_t, log_e, t_ev, j_ev)
         pa_pre = book[PA]
         pb_pre = book[PB]
         fill = apply_exogenous(book, cash, j_ev, tick, redraw_p, rng)

@@ -72,6 +72,17 @@ def default_config_document() -> dict:
     }
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None,
                         help="JSON config document")
@@ -87,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="write raw episode traces")
     _add_common(p_sim)
-    p_sim.add_argument("--episodes", type=int, default=1)
+    p_sim.add_argument("--episodes", type=_at_least(1), default=1)
     p_sim.add_argument("--agent", default="hold")
 
     p_train = sub.add_parser("train", help="train the PPO+SIL policy")
@@ -95,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate an agent")
     _add_common(p_eval)
-    p_eval.add_argument("--episodes", type=int, default=100)
+    p_eval.add_argument("--episodes", type=_at_least(1), default=100)
     p_eval.add_argument(
         "--agent", default="prob",
         help="prob | random | hold | checkpoint:<path>")
@@ -107,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", default=None,
                          help="inline JSON grid, e.g. '{\"fee_bps\":[1,8]}'")
     p_sweep.add_argument("--grid-file", default=None)
-    p_sweep.add_argument("--eval-episodes", type=int, default=20)
+    p_sweep.add_argument("--eval-episodes", type=_at_least(1), default=20)
 
     p_dyn = sub.add_parser("dynkin-check",
                            help="Monte-Carlo generator verification")
@@ -116,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("intensity", "count"))
     p_dyn.add_argument("--type-index", type=int, default=0)
     p_dyn.add_argument("--t-end", type=float, default=2.0)
-    p_dyn.add_argument("--paths", type=int, default=10_000)
+    p_dyn.add_argument("--paths", type=_at_least(2), default=10_000)
     p_dyn.add_argument("--one-type", action="store_true",
                        help="use the 1-type reduction (mu=1, a=0.5, g=1)")
     return parser
@@ -135,7 +146,7 @@ def _cmd_simulate(args, app: AppConfig) -> int:
     summary = {
         "agent": agent.name, "n_episodes": args.episodes, "seed": args.seed,
         "config_hash": config_hash(*app.docs()),
-        "mean_pnl": sum(s.pnl for s in stats_rows) / max(len(stats_rows), 1),
+        "mean_pnl": sum(s.pnl for s in stats_rows) / len(stats_rows),
         "total_fills": sum(s.n_fills for s in stats_rows),
     }
     with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:

@@ -309,12 +309,9 @@ class MarketMakingEnv:
         clock = self._clock
         while True:
             n, overflow = _k.advance_interval(
-                clock._kind, clock._mu, clock._a1, clock._a2, clock._a3,
-                clock.exc, clock.clock_f, clock.clock_i, clock.counts,
-                clock.log_t, clock.log_e, clock._horizon,
-                self._book_arr, self._cash_arr, self._tick,
+                *clock.state, self._book_arr, self._cash_arr, self._tick,
                 self.init_config.redraw.p, self._rng.state, t_end,
-                clock._lam_buf, self._ev_t, self._ev_e, self._ev_fill,
+                clock.lam_buf, self._ev_t, self._ev_e, self._ev_fill,
                 self._ev_px)
             for i in range(n):
                 if self._ev_fill[i] == 1:

@@ -32,26 +32,22 @@ class HawkesClock:
             raise ValueError("log_capacity too small")
         self.params = params
         d = params.n_types
-        self._kind, self._mu, self._a1, self._a2, self._a3, self._horizon = \
-            params.kernel_args()
         self.exc = np.zeros((d, d))
         self.counts = np.zeros(d, dtype=np.int64)
-        self.clock_f = np.array([t0, t0, np.nan, np.nan, 0.0])
+        self.clock_f = np.array([t0, t0, np.nan, 0.0])
         self.clock_i = np.zeros(2, dtype=np.int64)
         self.log_t = np.zeros(log_capacity)
         self.log_e = np.zeros(log_capacity, dtype=np.int64)
-        self._lam_buf = np.empty(d)
+        # The clock kernels' leading argument block (see ``_kernels``).
+        self.state = (*params.kernel_args(), self.exc, self.clock_f,
+                      self.clock_i, self.counts, self.log_t, self.log_e)
+        self.lam_buf = np.empty(d)
 
     # -- state views --------------------------------------------------------
 
     @property
     def now(self) -> float:
         return float(self.clock_f[_k.CK_NOW])
-
-    @property
-    def last_event_time(self) -> Optional[float]:
-        t = self.clock_f[_k.CK_LAST]
-        return None if np.isnan(t) else float(t)
 
     @property
     def n_events(self) -> int:
@@ -65,12 +61,7 @@ class HawkesClock:
         if t < self.now:
             raise ValueError(f"t={t} precedes clock.now={self.now}")
         out = np.empty(self.params.n_types)
-        _k.intensities_at(self._kind, self._mu, self._a1, self._a2, self._a3,
-                          self.exc, self.clock_f[_k.CK_ANCHOR],
-                          self.log_t, self.log_e,
-                          self.clock_i[_k.CK_LOG_NEXT],
-                          self.clock_i[_k.CK_LOG_SIZE],
-                          self._horizon, t, out)
+        _k.intensities_at(*self.state, t, out)
         return out
 
     def intensity(self, i: int, t: Optional[float] = None) -> float:
@@ -89,13 +80,10 @@ class HawkesClock:
         d = self.params.n_types
         out = np.empty(d + 1)
         cnt = np.empty(d, dtype=np.int64)
-        _k.history_counts(self.log_t, self.log_e,
-                          self.clock_i[_k.CK_LOG_NEXT],
-                          self.clock_i[_k.CK_LOG_SIZE],
-                          self.now, window, cnt)
+        _k.history_counts(*self.state, window, cnt)
         out[:d] = cnt
-        last = self.clock_f[_k.CK_LAST]
-        out[d] = window if np.isnan(last) else self.now - last
+        newest = self.log_t[self.clock_i[_k.CK_LOG_NEXT] - 1]
+        out[d] = self.now - newest if self.clock_i[_k.CK_LOG_SIZE] else window
         return out
 
     # -- evolution -----------------------------------------------------------
@@ -110,9 +98,7 @@ class HawkesClock:
             raise IndexError(f"event type index {i} out of range")
         if t < self.now:
             raise ValueError(f"event time {t} precedes clock.now={self.now}")
-        _k.register_event(self._kind, self._a1, self._a2, self.exc,
-                          self.clock_f, self.clock_i, self.counts,
-                          self.log_t, self.log_e, t, i)
+        _k.register_event(*self.state, t, i)
         self.clock_f[_k.CK_NOW] = t
         self.clock_f[_k.CK_PEND_T] = np.nan
 
@@ -120,15 +106,11 @@ class HawkesClock:
         """Next event by thinning, applied to the clock; None past t_max."""
         if t_max < self.now:
             raise ValueError(f"t_max={t_max} precedes clock.now={self.now}")
-        t_ev, j_ev = _k.next_event(
-            self._kind, self._mu, self._a1, self._a2, self._a3, self.exc,
-            self.clock_f, self.clock_i, self.counts, self.log_t, self.log_e,
-            self._horizon, rng.state, t_max, self._lam_buf)
+        t_ev, j_ev = _k.next_event(*self.state, rng.state, t_max,
+                                   self.lam_buf)
         if j_ev < 0:
             return None
-        _k.register_event(self._kind, self._a1, self._a2, self.exc,
-                          self.clock_f, self.clock_i, self.counts,
-                          self.log_t, self.log_e, t_ev, j_ev)
+        _k.register_event(*self.state, t_ev, j_ev)
         return float(t_ev), EventType(int(j_ev))
 
     def simulate(self, t_max: float, rng: RandomStream,
@@ -141,11 +123,8 @@ class HawkesClock:
         out_t = np.empty(chunk)
         out_e = np.empty(chunk, dtype=np.int64)
         while True:
-            n, overflow = _k.hawkes_simulate(
-                self._kind, self._mu, self._a1, self._a2, self._a3, self.exc,
-                self.clock_f, self.clock_i, self.counts, self.log_t,
-                self.log_e, self._horizon, rng.state, t_max, self._lam_buf,
-                out_t, out_e)
+            n, overflow = _k.hawkes_simulate(*self.state, rng.state, t_max,
+                                             self.lam_buf, out_t, out_e)
             times.append(out_t[:n].copy())
             types.append(out_e[:n].copy())
             if not overflow:

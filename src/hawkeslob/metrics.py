@@ -164,6 +164,8 @@ def evaluate_agent(env: MarketMakingEnv, agent, n_episodes: int, seed: int,
     With ``trace_dir``, episode ``e``'s step trace is written there as
     ``trace_<e>.csv`` (the env must record traces).
     """
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     episodes: List[EpisodeStats] = []
     histogram: Dict[str, int] = {}
     for e in range(n_episodes):

@@ -41,6 +41,21 @@ class DenseNet:
                  activation: str = "relu", head: str = "scalar",
                  learning_rate: float = 3e-4,
                  rng: Optional[RandomStream] = None):
+        self._configure(layer_sizes, activation, head, learning_rate)
+        rng = rng or RandomStream(0)
+        self.weights = []
+        self.biases = []
+        for fan_in, fan_out in zip(self.layer_sizes[:-1],
+                                   self.layer_sizes[1:]):
+            self.weights.append(_xavier_uniform(rng, fan_in, fan_out))
+            self.biases.append(np.zeros(fan_out))
+        self.adam_m = [(np.zeros_like(w), np.zeros_like(b))
+                       for w, b in zip(self.weights, self.biases)]
+        self.adam_v = [(np.zeros_like(w), np.zeros_like(b))
+                       for w, b in zip(self.weights, self.biases)]
+        self.adam_t = 0
+
+    def _configure(self, layer_sizes, activation, head, learning_rate):
         layer_sizes = [int(s) for s in layer_sizes]
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output layer")
@@ -56,17 +71,6 @@ class DenseNet:
         self.activation = activation
         self.head = head
         self.learning_rate = float(learning_rate)
-        rng = rng or RandomStream(0)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            self.weights.append(_xavier_uniform(rng, fan_in, fan_out))
-            self.biases.append(np.zeros(fan_out))
-        self.adam_m = [(np.zeros_like(w), np.zeros_like(b))
-                       for w, b in zip(self.weights, self.biases)]
-        self.adam_v = [(np.zeros_like(w), np.zeros_like(b))
-                       for w, b in zip(self.weights, self.biases)]
-        self.adam_t = 0
 
     # -- forward/backward -----------------------------------------------------
 
@@ -199,11 +203,21 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DenseNet":
-        net = cls(doc["layer_sizes"], activation=doc["activation"],
-                  head=doc["head"], learning_rate=doc["learning_rate"])
+        """Rebuild from ``to_dict`` output; ValueError when a weight or
+        bias shape does not match ``layer_sizes``."""
+        net = cls.__new__(cls)
+        net._configure(doc["layer_sizes"], doc["activation"], doc["head"],
+                       doc["learning_rate"])
         net.weights = [np.asarray(w, dtype=np.float64)
                        for w in doc["weights"]]
         net.biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+        sizes = net.layer_sizes
+        shapes = ([w.shape for w in net.weights],
+                  [b.shape for b in net.biases])
+        if shapes != (list(zip(sizes[:-1], sizes[1:])),
+                      [(n,) for n in sizes[1:]]):
+            raise ValueError(f"weight and bias shapes {shapes} do not fit "
+                             f"layer_sizes {sizes}")
         net.adam_m = [(np.asarray(mw), np.asarray(mb))
                       for mw, mb in doc["adam_m"]]
         net.adam_v = [(np.asarray(vw), np.asarray(vb))

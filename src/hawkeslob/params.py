@@ -19,7 +19,6 @@ integral of the kernel) to be below one; constructors enforce it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,7 +115,8 @@ class KernelParams:
         return np.linalg.solve(np.eye(self.n_types) - b, self.mu)
 
     def kernel_args(self):
-        """(kind_code, mu, a1, a2, a3, horizon) tuple for the kernels."""
+        """(kind_code, mu, a1, a2, a3, horizon): the parameter part of the
+        clock kernels' argument block (``HawkesClock.state``)."""
         d = self.n_types
         if self.kind == EXPONENTIAL:
             return 0, self.mu, self.alpha, self.gamma, \
@@ -146,11 +146,6 @@ class KernelParams:
                    beta_pl=doc["beta_pl"], delta_pl=doc["delta_pl"],
                    pl_horizon=float(doc.get("pl_horizon",
                                             DEFAULT_PL_HORIZON)))
-
-    @classmethod
-    def from_json(cls, path) -> "KernelParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def powerlaw_tail_intensity_bound(params: KernelParams,

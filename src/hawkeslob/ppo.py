@@ -31,7 +31,7 @@ from .events import Impulse, RESTRICTED_IMPULSES
 from .book import BookInitConfig
 from .intervention import RESTRICTED_IDX
 from .metrics import EpisodeStats, run_episode
-from .nn import DenseNet, Gradients
+from .nn import HEAD_SIZES, DenseNet, Gradients
 from .params import KernelParams
 from .rng import RandomStream, derive_seed
 
@@ -40,6 +40,10 @@ SUB_MASK_IDX = np.array(RESTRICTED_IDX)
 
 ABLATION_CHOICES = ("none", "history", "intensity", "spread",
                     "relative-position")
+
+# Network name -> head; the order fixes each net's init stream.
+_HEADS = {"decision": "binary-logit", "action": "4-way-logits",
+          "value": "scalar"}
 
 
 @dataclass(frozen=True)
@@ -127,16 +131,20 @@ class PolicyNets:
                  rng: Optional[RandomStream] = None):
         rng = rng or RandomStream(0)
         sizes = [OBS_DIM, *hidden_sizes]
-        self.decision = DenseNet([*sizes, 1], head="binary-logit",
-                                 learning_rate=learning_rate,
-                                 rng=rng.spawn(1))
-        self.action = DenseNet([*sizes, N_ACTIONS], head="4-way-logits",
-                               learning_rate=learning_rate,
-                               rng=rng.spawn(2))
-        self.value = DenseNet([*sizes, 1], head="scalar",
-                              learning_rate=learning_rate, rng=rng.spawn(3))
-        self.center = np.asarray(center, dtype=np.float64)
-        self.scale = np.asarray(scale, dtype=np.float64)
+        for key, (name, head) in enumerate(_HEADS.items(), start=1):
+            setattr(self, name, DenseNet(
+                [*sizes, HEAD_SIZES[head]], head=head,
+                learning_rate=learning_rate, rng=rng.spawn(key)))
+        self._set_features(center, scale, ablation)
+
+    def _set_features(self, center, scale, ablation: str) -> None:
+        """The feature map; ValueError when it does not fit OBS_DIM."""
+        for name, vec in (("center", center), ("scale", scale)):
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (OBS_DIM,):
+                raise ValueError(f"{name} has shape {vec.shape}, expected "
+                                 f"({OBS_DIM},)")
+            setattr(self, name, vec)
         if ablation not in ABLATION_CHOICES:
             raise ValueError(f"unknown ablation {ablation!r}")
         self.ablation = ablation
@@ -148,7 +156,7 @@ class PolicyNets:
             vec[lo:hi] = 0.0
         return vec
 
-    def to_dict(self, rng: Optional[RandomStream] = None) -> dict:
+    def to_dict(self) -> dict:
         return {
             "decision": self.decision.to_dict(),
             "action": self.action.to_dict(),
@@ -156,23 +164,28 @@ class PolicyNets:
             "center": self.center.tolist(),
             "scale": self.scale.tolist(),
             "ablation": self.ablation,
-            "rng_state": None if rng is None else rng.getstate(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PolicyNets":
+        """Rebuild from ``to_dict`` output; ValueError on a layout that does
+        not fit the observation vector or the policy heads."""
         nets = cls.__new__(cls)
-        nets.decision = DenseNet.from_dict(doc["decision"])
-        nets.action = DenseNet.from_dict(doc["action"])
-        nets.value = DenseNet.from_dict(doc["value"])
-        nets.center = np.asarray(doc["center"], dtype=np.float64)
-        nets.scale = np.asarray(doc["scale"], dtype=np.float64)
-        nets.ablation = doc["ablation"]
+        for name, head in _HEADS.items():
+            net = DenseNet.from_dict(doc[name])
+            if net.layer_sizes[0] != OBS_DIM or net.head != head:
+                raise ValueError(
+                    f"checkpoint {name} net maps {net.layer_sizes[0]} inputs "
+                    f"to a {net.head!r} head of width {net.layer_sizes[-1]}; "
+                    f"expected {OBS_DIM} inputs and a {head!r} head of width "
+                    f"{HEAD_SIZES[head]}")
+            setattr(nets, name, net)
+        nets._set_features(doc["center"], doc["scale"], doc["ablation"])
         return nets
 
-    def save(self, path, rng: Optional[RandomStream] = None) -> None:
+    def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(rng), fh)
+            json.dump(self.to_dict(), fh)
 
     @classmethod
     def load(cls, path) -> "PolicyNets":
@@ -639,12 +652,12 @@ def train(kernel_params: KernelParams, episode_config: EpisodeConfig,
                 update % tc.checkpoint_every == 0 and update < n_updates:
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"checkpoint_up{update}.json")
-            nets.save(path, rng=stream)
+            nets.save(path)
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         checkpoint_path = os.path.join(out_dir, "checkpoint.json")
-        nets.save(checkpoint_path, rng=stream)
+        nets.save(checkpoint_path)
         _write_training_log(os.path.join(out_dir, "training_log.csv"),
                             log_rows)
     return TrainResult(nets=nets, log_rows=log_rows,

@@ -11,11 +11,14 @@ satisfy this.
 The generator is an expectation operator, so the probabilistic pieces of
 the event transition (cancel targeting, geometric queue redraw on
 promotion) enter as explicitly enumerated branches with their exact
-weights; the geometric tail beyond machine-negligible mass is lumped onto
-the last enumerated branch so weights sum to one and constants are
-annihilated exactly. Time and intensity partials are central finite
-differences: this module verifies candidate functions, it does not train
-them, so derivative-free candidates must be supported.
+weights. Branches and weights come from the draw rules and resolved
+transitions in ``_kernels`` (``exogenous_draws`` / ``impulse_draws``),
+which the simulator samples from too. The geometric tail beyond
+machine-negligible mass is lumped onto the last enumerated branch so
+weights sum to one and constants are annihilated exactly. Time and
+intensity partials are central finite differences: this module verifies
+candidate functions, it does not train them, so derivative-free
+candidates must be supported.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from . import _kernels as _k
 from .book import (AgentBookState, BookInitConfig, BookState, pack_state,
                    sample_book, unpack_state)
 from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
-                     EventType, Impulse, KIND_CO_D, KIND_CO_T, KIND_MO,
-                     N_EVENT_TYPES)
+                     EventType, Impulse, N_EVENT_TYPES)
 from .hawkes import HawkesClock
 from .intervention import admissible
 from .params import EXPONENTIAL, KernelParams
@@ -68,65 +70,50 @@ def row_gamma(params: KernelParams) -> np.ndarray:
     return g[:, 0].copy()
 
 
-def _geom_branches(p: float) -> List[Tuple[float, int]]:
-    """(weight, redraw value) pairs: 1 + Geometric(p), tail lumped."""
-    branches = []
-    k = 0
-    remaining = 1.0
-    while remaining > _GEOM_TAIL:
-        w = remaining * p
-        branches.append((w, 1 + k))
-        remaining -= w
-        k += 1
-    if branches:
-        w_last, v_last = branches[-1]
-        branches[-1] = (w_last + remaining, v_last)
-    return branches
+def _branches(book: BookState, agent: AgentBookState, draws, resolved,
+              redraw_p: float):
+    """Every outcome of one transition, enumerated from the kernel rules.
 
-
-def _resolved_exogenous(book: BookState, agent: AgentBookState,
-                        e: EventType, hit: int, redraw_val: int
-                        ) -> Tuple[BookState, AgentBookState]:
+    ``draws(arr)`` is ``_k.exogenous_draws`` / ``_k.impulse_draws``;
+    ``resolved(arr, cash, hit, redraw_val)`` applies the transition with
+    its draws fixed, the redraw being 1 + Geometric(redraw_p). Returns the
+    (weight, book', agent') branches and what ``resolved`` returned last.
+    """
     arr, cash = pack_state(book, agent)
-    _k.apply_exogenous_resolved(arr, cash, int(EVENT_KIND[int(e)]),
-                                int(EVENT_SIDE[int(e)]), book.tick,
-                                hit, redraw_val)
-    return unpack_state(arr, cash, book.tick)
+    p_hit, redraw = draws(arr)
+    hits = [(p_hit, 1), (1.0 - p_hit, 0)] if p_hit > 0.0 else [(1.0, 0)]
+    redraws = [(1.0, 1)]
+    if redraw:
+        redraws = []
+        remaining = 1.0
+        while remaining > _GEOM_TAIL:
+            w = remaining * redraw_p
+            redraws.append((w, 1 + len(redraws)))
+            remaining -= w
+        w_last, v_last = redraws[-1]
+        redraws[-1] = (w_last + remaining, v_last)
+    branches = []
+    value = None
+    for w_hit, hit in hits:
+        for w_redraw, redraw_val in redraws:
+            arr2, cash2 = arr.copy(), cash.copy()
+            value = resolved(arr2, cash2, hit, redraw_val)
+            branches.append((w_hit * w_redraw,
+                             *unpack_state(arr2, cash2, book.tick)))
+    return branches, value
 
 
 def exogenous_branches(book: BookState, agent: AgentBookState, e: EventType,
                        redraw_p: float = 0.4,
                        ) -> List[Tuple[float, BookState, AgentBookState]]:
     """All (weight, post-state) branches of the event transition T_e."""
-    kind = int(EVENT_KIND[int(e)])
-    side_ask = bool(EVENT_SIDE[int(e)])
-    q = book.q_ask if side_ask else book.q_bid
-    qd = book.q_ask_d if side_ask else book.q_bid_d
-    n_opt = agent.n_ask if side_ask else agent.n_bid
-    n = -1 if n_opt is None else n_opt
-
-    if kind == KIND_CO_T:
-        if q > 1 and 0 < n < q:
-            w_hit = n / q
-            return [
-                (w_hit, *_resolved_exogenous(book, agent, e, 1, 1)),
-                (1.0 - w_hit, *_resolved_exogenous(book, agent, e, 0, 1)),
-            ]
-        if q == 1 and n != 0:
-            return [(w, *_resolved_exogenous(book, agent, e, 0, rv))
-                    for w, rv in _geom_branches(redraw_p)]
-    elif kind == KIND_CO_D:
-        if qd > 1 and n > q:
-            w_hit = (n - q) / qd
-            return [
-                (w_hit, *_resolved_exogenous(book, agent, e, 1, 1)),
-                (1.0 - w_hit, *_resolved_exogenous(book, agent, e, 0, 1)),
-            ]
-    elif kind == KIND_MO:
-        if q == 1:
-            return [(w, *_resolved_exogenous(book, agent, e, 0, rv))
-                    for w, rv in _geom_branches(redraw_p)]
-    return [(1.0, *_resolved_exogenous(book, agent, e, 0, 1))]
+    kind, side = int(EVENT_KIND[int(e)]), int(EVENT_SIDE[int(e)])
+    branches, _ = _branches(
+        book, agent, lambda arr: _k.exogenous_draws(arr, kind, side),
+        lambda arr, cash, hit, rv: _k.apply_exogenous_resolved(
+            arr, cash, kind, side, book.tick, hit, rv),
+        redraw_p)
+    return branches
 
 
 def impulse_branches(book: BookState, agent: AgentBookState, psi: Impulse,
@@ -134,35 +121,13 @@ def impulse_branches(book: BookState, agent: AgentBookState, psi: Impulse,
                      ) -> Tuple[List[Tuple[float, BookState, AgentBookState]],
                                 float]:
     """Branches of Gamma(., psi) plus the (branch-independent) profit K."""
-    kind = int(IMPULSE_KIND[int(psi)])
-    side_ask = bool(IMPULSE_SIDE[int(psi)])
-    q = book.q_ask if side_ask else book.q_bid
-    qd = book.q_ask_d if side_ask else book.q_bid_d
-    n_opt = agent.n_ask if side_ask else agent.n_bid
-    n = -1 if n_opt is None else n_opt
-
-    def resolved(redraw_val: int):
-        arr, cash = pack_state(book, agent)
-        k_cash = _k.apply_impulse_resolved(arr, cash, kind,
-                                           1 if side_ask else 0,
-                                           book.tick, redraw_val)
-        b2, a2 = unpack_state(arr, cash, book.tick)
-        return b2, a2, float(k_cash)
-
-    needs_redraw = False
-    if kind == KIND_CO_T:
-        needs_redraw = (0 <= n < q and q == 1) or (n >= q and qd == 1)
-    elif kind == KIND_MO:
-        needs_redraw = q == 1
-    if needs_redraw:
-        branches = []
-        k_cash = 0.0
-        for w, rv in _geom_branches(redraw_p):
-            b2, a2, k_cash = resolved(rv)
-            branches.append((w, b2, a2))
-        return branches, k_cash
-    b2, a2, k_cash = resolved(1)
-    return [(1.0, b2, a2)], k_cash
+    kind, side = int(IMPULSE_KIND[int(psi)]), int(IMPULSE_SIDE[int(psi)])
+    branches, k_cash = _branches(
+        book, agent, lambda arr: _k.impulse_draws(arr, kind, side),
+        lambda arr, cash, hit, rv: _k.apply_impulse_resolved(
+            arr, cash, kind, side, book.tick, rv),
+        redraw_p)
+    return branches, float(k_cash)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +319,11 @@ def dynkin_check(params: KernelParams, function: str = "intensity",
 
     Shipped test functions: ``intensity`` (phi = lam_i) and ``count``
     (phi = N_i). The reference integrates d/dt E[phi] = E[L phi] in closed
-    form; the z-score compares the path average against it.
+    form; the z-score compares the path average against it. Needs at
+    least two paths for a standard error.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     if function not in ("intensity", "count"):
         raise ValueError("function must be 'intensity' or 'count'")
     if not 0 <= type_index < params.n_types:

@@ -77,9 +77,3 @@ class RandomStream:
         base = int(self.state[0]) ^ (int(self.state[1]) << 16) \
             ^ (int(self.state[2]) << 32) ^ (int(self.state[3]) << 48)
         return RandomStream(derive_seed(base, *keys))
-
-    def getstate(self) -> list:
-        return [int(v) for v in self.state]
-
-    def setstate(self, values) -> None:
-        self.state[:] = np.asarray(values, dtype=np.uint64)
