@@ -35,6 +35,14 @@ time, pending thinning candidate time or nan, pending proposal bound);
 ``clock_i`` is ``int64[2]`` (event-log write position, event-log size).
 The newest log entry holds the last event time.
 
+Event step: ``next_event`` samples the next event by thinning and
+registers it on the clock, so every sampling loop shares one step and
+differs only in what it keeps. ``hawkes_simulate`` keeps event times and
+types; ``advance_interval`` applies each event to the book and keeps only
+the agent's fill price per side in a two-slot ``fill_px`` (nan when that
+side did not fill). A fill removes the agent's order and only an impulse
+places one, so a side fills at most once per decision interval.
+
 Randomness draw discipline (transition functions); the order is part of
 the replay contract. ``exogenous_draws`` and ``impulse_draws`` are its one
 implementation: ``apply_exogenous`` / ``apply_impulse`` sample from them
@@ -172,7 +180,9 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     ``exc`` anchored at the clock's anchor time without mutating it, so
     the value at a given time does not depend on how many intermediate
     queries were made. Power-law kernels (kind 1): direct sum over the
-    event log, newest first, truncated at ``horizon`` seconds of age.
+    event log, newest first, truncated at ``horizon`` seconds of age;
+    raises ``ValueError`` when the log is full and its oldest entry is
+    within ``horizon``, since overwritten events would be missing.
     """
     d = mu.shape[0]
     total = 0.0
@@ -191,6 +201,9 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
             out[i] = mu[i]
         cap = log_t.shape[0]
         log_next = clock_i[CK_LOG_NEXT]
+        if clock_i[CK_LOG_SIZE] == cap and t - log_t[log_next] <= horizon:
+            raise ValueError("event log full within the power-law horizon; "
+                             "raise log_capacity")
         for k in range(clock_i[CK_LOG_SIZE]):
             idx = (log_next - 1 - k) % cap
             age = t - log_t[idx]
@@ -237,9 +250,11 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
 @njit
 def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
                log_t, log_e, rng, t_max, lam_buf):
-    """Ogata thinning step: next event at or before ``t_max``.
+    """Ogata thinning step: sample the next event at or before ``t_max``
+    and register it on the clock.
 
-    Returns ``(t, type)`` with the clock's ``now`` advanced to ``t``, or
+    Returns ``(t, type)`` with the event applied (``register_event``) and
+    the clock's ``now`` advanced to ``t``, or
     ``(t_max, -1)`` when no event occurs, with ``now`` advanced to
     ``t_max``. A proposal that overshoots ``t_max`` is stored as a pending
     candidate (time and proposal bound) and consumed by the next call, so
@@ -279,13 +294,16 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
                 if v <= acc:
                     j_ev = i
                     break
+            register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
+                           clock_i, counts, log_t, log_e, t_cand, j_ev)
             return t_cand, j_ev
 
 
 @njit
 def hawkes_simulate(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                     counts, log_t, log_e, rng, t_max, lam_buf, out_t, out_e):
-    """Sample-and-apply events up to ``t_max``; returns (count, overflow)."""
+    """Sample events up to ``t_max`` into ``out_t`` / ``out_e``; returns
+    ``(count, overflow)``, overflow = 1 when the buffers filled first."""
     cap = out_t.shape[0]
     n = 0
     while True:
@@ -296,8 +314,6 @@ def hawkes_simulate(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                                 lam_buf)
         if j_ev < 0:
             return n, 0
-        register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
-                       counts, log_t, log_e, t_ev, j_ev)
         out_t[n] = t_ev
         out_e[n] = j_ev
         n += 1
@@ -582,36 +598,28 @@ def apply_impulse(book, cash, impulse, tick, redraw_p, rng):
 @njit
 def advance_interval(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                      counts, log_t, log_e, book, cash, tick, redraw_p, rng,
-                     t_end, lam_buf, out_t, out_e, out_fill, out_px):
+                     t_end, lam_buf, fill_px):
     """Advance the coupled Hawkes/LOB system to ``t_end``.
 
     Samples exogenous events by thinning and applies each to the book.
-    Records (time, type, fill code, fill price) per event in the output
-    buffers; returns ``(n_events, overflow)`` where overflow = 1 means the
-    buffers filled before ``t_end`` and the caller should re-invoke.
+    ``fill_px`` gets the agent's fill price per side (slot 0 ask, slot 1
+    bid), nan for a side that did not fill. One slot per side is enough:
+    a fill removes the agent's order (its priority becomes -1) and only
+    an impulse places a new one, so each side fills at most once between
+    two decision instants.
     """
-    cap = out_t.shape[0]
-    n = 0
+    fill_px[0] = np.nan
+    fill_px[1] = np.nan
     while True:
-        if n >= cap:
-            return n, 1
-        t_ev, j_ev = next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
-                                clock_i, counts, log_t, log_e, rng, t_end,
-                                lam_buf)
+        _, j_ev = next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
+                             clock_i, counts, log_t, log_e, rng, t_end,
+                             lam_buf)
         if j_ev < 0:
-            return n, 0
-        register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
-                       counts, log_t, log_e, t_ev, j_ev)
+            return
         pa_pre = book[PA]
         pb_pre = book[PB]
         fill = apply_exogenous(book, cash, j_ev, tick, redraw_p, rng)
-        out_t[n] = t_ev
-        out_e[n] = j_ev
-        out_fill[n] = fill
         if fill == 1:
-            out_px[n] = float(pa_pre) * tick
+            fill_px[0] = float(pa_pre) * tick
         elif fill == 2:
-            out_px[n] = float(pb_pre) * tick
-        else:
-            out_px[n] = 0.0
-        n += 1
+            fill_px[1] = float(pb_pre) * tick

@@ -101,10 +101,6 @@ def random_agent_act(obs: Observation, mask: np.ndarray,
     return 0, None
 
 
-def hold_agent_act(obs: Observation, mask: np.ndarray) -> Action:
-    return 0, None
-
-
 class Agent(Protocol):
     name: str
 
@@ -115,7 +111,7 @@ class HoldAgent:
     name = "hold"
 
     def act(self, obs: Observation, mask: np.ndarray) -> Action:
-        return hold_agent_act(obs, mask)
+        return 0, None
 
 
 class RandomAgent:

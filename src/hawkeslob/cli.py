@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` (raw LOB traces), ``train``, ``eval``,
-``sweep``, ``dynkin-check``. Common flags: ``--config <json>``,
+Subcommands: ``simulate`` (``eval`` with per-episode traces, defaulting
+to one episode of the hold agent), ``train``, ``eval``, ``sweep``,
+``dynkin-check``. Common flags: ``--config <json>``,
 ``--seed <int>``, ``--out-dir <path>``. All numeric output is decimal
 text with full round-trip precision; identical (config, seed) pairs
 produce byte-identical outputs.
@@ -19,8 +20,7 @@ from typing import Optional
 from .agents import ProbAgentConfig, make_agent
 from .book import BookInitConfig
 from .env import EpisodeConfig, MarketMakingEnv
-from .metrics import (config_hash, evaluate_agent, write_episodes_csv,
-                      write_summary_json)
+from .metrics import evaluate_agent, write_episodes_csv, write_summary_json
 from .params import KernelParams, default_kernel_params
 from .ppo import TrainerConfig, train
 from .qvi import dynkin_check
@@ -96,10 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hawkes-LOB market-making simulator and agents")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="write raw episode traces")
+    p_sim = sub.add_parser(
+        "simulate", help="eval with per-episode traces; hold agent, 1 episode")
     _add_common(p_sim)
     p_sim.add_argument("--episodes", type=_at_least(1), default=1)
     p_sim.add_argument("--agent", default="hold")
+    p_sim.set_defaults(traces=True)
 
     p_train = sub.add_parser("train", help="train the PPO+SIL policy")
     _add_common(p_train)
@@ -131,28 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--one-type", action="store_true",
                        help="use the 1-type reduction (mu=1, a=0.5, g=1)")
     return parser
-
-
-def _cmd_simulate(args, app: AppConfig) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-    agent = make_agent(args.agent, RandomStream(derive_seed(args.seed, 0xA9)),
-                       app.prob_agent)
-    env = MarketMakingEnv(app.kernel, app.episode, app.init,
-                          record_trace=True)
-    _, stats_rows = evaluate_agent(env, agent, args.episodes, seed=args.seed,
-                                   trace_dir=args.out_dir)
-    write_episodes_csv(os.path.join(args.out_dir, "episodes.csv"),
-                       stats_rows)
-    summary = {
-        "agent": agent.name, "n_episodes": args.episodes, "seed": args.seed,
-        "config_hash": config_hash(*app.docs()),
-        "mean_pnl": sum(s.pnl for s in stats_rows) / len(stats_rows),
-        "total_fills": sum(s.n_fills for s in stats_rows),
-    }
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return 0
 
 
 def _cmd_train(args, app: AppConfig) -> int:
@@ -217,7 +197,7 @@ def _cmd_dynkin(args, app: AppConfig) -> int:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
+    "simulate": _cmd_eval,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "sweep": _cmd_sweep,

@@ -25,6 +25,7 @@ thinning proposals survive interval boundaries).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -42,8 +43,6 @@ from .rng import RandomStream, derive_seed
 
 ACTION_SET_RESTRICTED = "restricted"
 ACTION_SET_FULL = "full"
-
-_EVENT_BUF = 4096
 
 
 @dataclass(frozen=True)
@@ -171,10 +170,7 @@ class MarketMakingEnv:
         self.config = config
         self.init_config = init_config
         self.record_trace = record_trace
-        self._ev_t = np.empty(_EVENT_BUF)
-        self._ev_e = np.empty(_EVENT_BUF, dtype=np.int64)
-        self._ev_fill = np.empty(_EVENT_BUF, dtype=np.int64)
-        self._ev_px = np.empty(_EVENT_BUF)
+        self._fill_px = np.empty(2)
         self._done = True
         self._step_index = 0
 
@@ -307,21 +303,14 @@ class MarketMakingEnv:
 
     def _advance(self, t_end: float) -> None:
         clock = self._clock
-        while True:
-            n, overflow = _k.advance_interval(
-                *clock.state, self._book_arr, self._cash_arr, self._tick,
-                self.init_config.redraw.p, self._rng.state, t_end,
-                clock.lam_buf, self._ev_t, self._ev_e, self._ev_fill,
-                self._ev_px)
-            for i in range(n):
-                if self._ev_fill[i] == 1:
-                    self.fills.append(FillReport(side_ask=True,
-                                                 price=float(self._ev_px[i])))
-                elif self._ev_fill[i] == 2:
-                    self.fills.append(FillReport(side_ask=False,
-                                                 price=float(self._ev_px[i])))
-            if not overflow:
-                break
+        _k.advance_interval(
+            *clock.state, self._book_arr, self._cash_arr, self._tick,
+            self.init_config.redraw.p, self._rng.state, t_end,
+            clock.lam_buf, self._fill_px)
+        for side_ask, price in zip((True, False), self._fill_px):
+            if not math.isnan(price):
+                self.fills.append(FillReport(side_ask=side_ask,
+                                             price=float(price)))
 
 
 def episode_pnl(env) -> float:

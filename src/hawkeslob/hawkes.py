@@ -3,8 +3,11 @@
 The clock owns the process state: for exponential kernels a pairwise
 excitation matrix anchored at the last event (exact closed-form recursion,
 one decay per event), for power-law kernels a truncated event log summed
-directly. Sampling uses Ogata thinning with the anchor intensity as the
-proposal bound; an unconsumed proposal crossing the horizon is kept as a
+directly; a power-law query raises ``ValueError`` once the log is full
+within the truncation horizon. Sampling uses Ogata thinning with the
+anchor intensity as the proposal bound; each accepted event is registered
+on the clock by the same kernel step (``_kernels.next_event``) that
+samples it. An unconsumed proposal crossing the horizon is kept as a
 pending candidate so chunked simulation replays the identical stream.
 """
 
@@ -20,6 +23,7 @@ from .params import KernelParams
 from .rng import RandomStream
 
 DEFAULT_LOG_CAPACITY = 1 << 16
+_SIM_CHUNK = 1 << 14  # events per hawkes_simulate call in simulate()
 
 
 class HawkesClock:
@@ -110,18 +114,16 @@ class HawkesClock:
                                    self.lam_buf)
         if j_ev < 0:
             return None
-        _k.register_event(*self.state, t_ev, j_ev)
         return float(t_ev), EventType(int(j_ev))
 
-    def simulate(self, t_max: float, rng: RandomStream,
-                 chunk: int = 1 << 14):
+    def simulate(self, t_max: float, rng: RandomStream):
         """All events up to ``t_max``; returns (times, types) arrays."""
         if t_max < self.now:
             raise ValueError(f"t_max={t_max} precedes clock.now={self.now}")
         times = []
         types = []
-        out_t = np.empty(chunk)
-        out_e = np.empty(chunk, dtype=np.int64)
+        out_t = np.empty(_SIM_CHUNK)
+        out_e = np.empty(_SIM_CHUNK, dtype=np.int64)
         while True:
             n, overflow = _k.hawkes_simulate(*self.state, rng.state, t_max,
                                              self.lam_buf, out_t, out_e)

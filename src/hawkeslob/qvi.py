@@ -24,7 +24,7 @@ candidates must be supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from scipy.linalg import expm
 
 from . import _kernels as _k
 from .book import (AgentBookState, BookInitConfig, BookState, pack_state,
-                   sample_book, unpack_state)
+                   sample_initial_state, unpack_state)
 from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
                      EventType, Impulse, N_EVENT_TYPES)
 from .hawkes import HawkesClock
@@ -251,16 +251,14 @@ def sample_reduced_state(config: BookInitConfig, rng: RandomStream,
     """Book from the initial-state distributions; inventory ~ rounded
     normal; each side rests an order with probability 1/2 at a uniform
     queue priority."""
-    book = sample_book(config, rng)
-    inventory = int(round(rng.normal(0.0, config.inventory_std)))
+    book, agent = sample_initial_state(config, rng, initial_cash,
+                                       sample_inventory=True)
     n_ask = n_bid = None
     if rng.uniform() < 0.5:
         n_ask = rng.integer(book.q_ask + book.q_ask_d)
     if rng.uniform() < 0.5:
         n_bid = rng.integer(book.q_bid + book.q_bid_d)
-    agent = AgentBookState(cash=initial_cash, inventory=inventory,
-                           n_ask=n_ask, n_bid=n_bid)
-    return book, agent
+    return book, replace(agent, n_ask=n_ask, n_bid=n_bid)
 
 
 def sample_intensities(params: KernelParams, rng: RandomStream) -> np.ndarray:
