@@ -35,6 +35,21 @@ time, pending thinning candidate time or nan, pending proposal bound);
 ``clock_i`` is ``int64[2]`` (event-log write position, event-log size).
 The newest log entry holds the last event time.
 
+The parameter arrays ``a1``, ``a2``, ``a3`` are ``float64`` rank 2 for
+both kinds (``KernelParams.kernel_args`` builds them):
+
+* exponential (kind 0): decay-grouped. ``exc`` is ``float64[d, m]``, where
+  slot k of row i holds the excitation, at the anchor time, from every
+  source whose decay is row i's k-th distinct decay; only sources with
+  alpha_ij != 0 count. m is 1 for row-constant decay, at most d, and 0
+  when alpha is zero (the intensity is then ``mu`` exactly). ``a1`` is
+  ``[d, d*m]`` with ``a1[i, j*m + k]`` the jump an event of type j adds
+  to slot k of row i (alpha_ij or 0), ``a2`` is ``[d, m]`` (slot decays)
+  and ``a3`` is unused.
+* power-law (kind 1): ``a1``, ``a2``, ``a3`` are alpha_pl, beta_pl and
+  delta_pl (``[d, d]``), ``horizon`` is the truncation age, and ``exc``
+  is unused (m = 0); the intensity is a sum over the event log.
+
 Event step: ``next_event`` samples the next event by thinning and
 registers it on the clock, so every sampling loop shares one step and
 differs only in what it keeps. ``hawkes_simulate`` keeps event times and
@@ -176,24 +191,27 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, t, out):
     """Fill ``out`` with per-type intensities at time ``t``; return total.
 
-    Exponential kernels (kind 0): evaluates the pairwise excitation state
-    ``exc`` anchored at the clock's anchor time without mutating it, so
-    the value at a given time does not depend on how many intermediate
-    queries were made. Power-law kernels (kind 1): direct sum over the
-    event log, newest first, truncated at ``horizon`` seconds of age;
-    raises ``ValueError`` when the log is full and its oldest entry is
-    within ``horizon``, since overwritten events would be missing.
+    Exponential kernels (kind 0): ``mu[i]`` plus row i's m slots of
+    ``exc``, each decayed from the anchor time by its slot decay
+    ``a2[i, k]``; ``exc`` is not mutated, so the value at a given time
+    does not depend on how many intermediate queries were made. Power-law
+    kernels (kind 1): direct sum over the event log, newest first,
+    truncated at ``horizon`` seconds of age; raises ``ValueError`` when an
+    entry has been overwritten (more events than ``log_capacity``) and the
+    oldest kept entry is within ``horizon``, since overwritten events
+    would be missing.
     """
     d = mu.shape[0]
     total = 0.0
     if kind == KIND_EXP:
+        m = exc.shape[1]
         dt = t - clock_f[CK_ANCHOR]
         for i in range(d):
             s = mu[i]
-            for j in range(d):
-                e = exc[i, j]
+            for k in range(m):
+                e = exc[i, k]
                 if e != 0.0:
-                    s += e * math.exp(-a2[i, j] * dt)
+                    s += e * math.exp(-a2[i, k] * dt)
             out[i] = s
             total += s
     else:
@@ -201,9 +219,10 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
             out[i] = mu[i]
         cap = log_t.shape[0]
         log_next = clock_i[CK_LOG_NEXT]
-        if clock_i[CK_LOG_SIZE] == cap and t - log_t[log_next] <= horizon:
-            raise ValueError("event log full within the power-law horizon; "
-                             "raise log_capacity")
+        if (clock_i[CK_LOG_SIZE] == cap and counts.sum() > cap
+                and t - log_t[log_next] <= horizon):
+            raise ValueError("event log wrapped within the power-law "
+                             "horizon; raise log_capacity")
         for k in range(clock_i[CK_LOG_SIZE]):
             idx = (log_next - 1 - k) % cap
             age = t - log_t[idx]
@@ -224,18 +243,22 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, t_ev, j_ev):
     """Apply an event of type ``j_ev`` at time ``t_ev`` to the clock state.
 
-    For exponential kernels the excitation state is decayed from its anchor
-    to ``t_ev`` exactly once and the column-``j_ev`` jumps are added; this
+    For exponential kernels each slot of ``exc`` is decayed from the
+    anchor to ``t_ev`` exactly once and the event's jumps
+    ``a1[i, j_ev*m : (j_ev+1)*m]`` are added to row i's slots; this
     single-decay bookkeeping keeps the state independent of query history.
     """
     d = counts.shape[0]
     if kind == KIND_EXP:
+        m = exc.shape[1]
         dt = t_ev - clock_f[CK_ANCHOR]
+        col = j_ev * m
         for i in range(d):
-            for j in range(d):
-                if exc[i, j] != 0.0:
-                    exc[i, j] *= math.exp(-a2[i, j] * dt)
-            exc[i, j_ev] += a1[i, j_ev]
+            for k in range(m):
+                e = exc[i, k]
+                if e != 0.0:
+                    e *= math.exp(-a2[i, k] * dt)
+                exc[i, k] = e + a1[i, col + k]
     clock_f[CK_ANCHOR] = t_ev
     counts[j_ev] += 1
     cap = log_t.shape[0]

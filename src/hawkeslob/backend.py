@@ -9,6 +9,10 @@ variable:
   are JIT-compiled with ``cache=True``.
 * ``HAWKESLOB_BACKEND=numpy``: kernels run as ordinary Python functions.
 
+When the variable is unset and numba is not importable, the numpy backend
+is used and the import prints a one-line notice to stderr (once per
+process, as the module is imported once); stdout is untouched.
+
 Both paths execute the same source and the same libm calls, so simulation
 output is bit-identical across backends (see ``tests/test_backends.py`` and
 ``python3 perfbench/run.py --parity``). numba is the optional ``jit``
@@ -16,6 +20,7 @@ extra of the package.
 """
 
 import os
+import sys
 
 _requested = os.environ.get("HAWKESLOB_BACKEND", "").strip().lower()
 
@@ -32,6 +37,9 @@ if USE_NUMBA:
         if _requested == "numba":
             raise
         USE_NUMBA = False
+        print("hawkeslob: numba is not importable, so kernels run on the "
+              "pure-Python 'numpy' backend (set HAWKESLOB_BACKEND=numpy to "
+              "choose it without this notice)", file=sys.stderr)
 
 if USE_NUMBA:
     def njit(*args, **kwargs):

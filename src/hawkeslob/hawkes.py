@@ -1,14 +1,19 @@
 """Multivariate Hawkes process simulation and queries.
 
-The clock owns the process state: for exponential kernels a pairwise
-excitation matrix anchored at the last event (exact closed-form recursion,
-one decay per event), for power-law kernels a truncated event log summed
-directly; a power-law query raises ``ValueError`` once the log is full
-within the truncation horizon. Sampling uses Ogata thinning with the
-anchor intensity as the proposal bound; each accepted event is registered
-on the clock by the same kernel step (``_kernels.next_event``) that
-samples it. An unconsumed proposal crossing the horizon is kept as a
-pending candidate so chunked simulation replays the identical stream.
+The clock owns the process state. For exponential kernels it is the
+decay-grouped excitation ``exc[d, m]`` anchored at the last event: slot k
+of row i sums the excitation from every source whose decay is row i's
+k-th distinct decay, which is exact because the intensity is Markov in
+that state (closed-form recursion, one decay per slot per event); m is 1
+for row-constant decay, at most d, and 0 for zero excitation
+(``KernelParams.kernel_args``). For power-law kernels it is a truncated
+event log summed directly; a power-law query raises ``ValueError`` once
+an entry within the truncation horizon has been overwritten. Sampling
+uses Ogata thinning with the anchor intensity as the proposal bound; each
+accepted event is registered on the clock by the same kernel step
+(``_kernels.next_event``) that samples it. An unconsumed proposal
+crossing the horizon is kept as a pending candidate so chunked
+simulation replays the identical stream.
 """
 
 from __future__ import annotations
@@ -36,14 +41,14 @@ class HawkesClock:
             raise ValueError("log_capacity too small")
         self.params = params
         d = params.n_types
-        self.exc = np.zeros((d, d))
+        self.exc = np.zeros((d, params.n_slots))
         self.counts = np.zeros(d, dtype=np.int64)
         self.clock_f = np.array([t0, t0, np.nan, 0.0])
         self.clock_i = np.zeros(2, dtype=np.int64)
         self.log_t = np.zeros(log_capacity)
         self.log_e = np.zeros(log_capacity, dtype=np.int64)
         # The clock kernels' leading argument block (see ``_kernels``).
-        self.state = (*params.kernel_args(), self.exc, self.clock_f,
+        self.state = (*params.kernel_args, self.exc, self.clock_f,
                       self.clock_i, self.counts, self.log_t, self.log_e)
         self.lam_buf = np.empty(d)
 

@@ -20,6 +20,7 @@ integral of the kernel) to be below one; constructors enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,15 +115,44 @@ class KernelParams:
         b = self.branching_matrix
         return np.linalg.solve(np.eye(self.n_types) - b, self.mu)
 
+    @cached_property
     def kernel_args(self):
         """(kind_code, mu, a1, a2, a3, horizon): the parameter part of the
-        clock kernels' argument block (``HawkesClock.state``)."""
+        clock kernels' argument block (``HawkesClock.state``).
+
+        Exponential kernels use a decay-grouped layout. Row i's slots are
+        the distinct decays gamma_ij over the sources j with alpha_ij != 0;
+        m is the largest slot count of any row (1 for row-constant decay,
+        at most d, 0 when alpha is zero). ``a1`` has shape (d, d*m) with
+        ``a1[i, j*m + k]`` = alpha_ij when gamma_ij is row i's slot k and 0
+        otherwise (``alpha`` itself when m = 1); ``a2`` has shape (d, m)
+        and holds the slot decays, padded with 1.0 past a row's last slot;
+        ``a3`` is an unused (d, 0) array. Power-law kernels pass
+        ``alpha_pl``, ``beta_pl`` and ``delta_pl``. The arrays are built
+        once per parameter set and shared by every clock built from it.
+        """
+        if self.kind == POWERLAW:
+            return 1, self.mu, self.alpha_pl, self.beta_pl, self.delta_pl, \
+                float(self.pl_horizon)
         d = self.n_types
+        slots = [sorted(set(self.gamma[i][self.alpha[i] != 0.0].tolist()))
+                 for i in range(d)]
+        m = max(len(row) for row in slots)
+        a1 = np.zeros((d, d * m))
+        a2 = np.ones((d, m))
+        for i, row in enumerate(slots):
+            a2[i, :len(row)] = row
+            for j in np.flatnonzero(self.alpha[i]):
+                a1[i, j * m + row.index(self.gamma[i, j])] = self.alpha[i, j]
+        return 0, self.mu, a1, a2, np.zeros((d, 0)), np.inf
+
+    @property
+    def n_slots(self) -> int:
+        """Columns m of the clock's exponential state ``exc[d, m]``; 0 for
+        power-law kernels, which keep an event log instead."""
         if self.kind == EXPONENTIAL:
-            return 0, self.mu, self.alpha, self.gamma, \
-                np.zeros((d, d)), np.inf
-        return 1, self.mu, self.alpha_pl, self.beta_pl, self.delta_pl, \
-            float(self.pl_horizon)
+            return self.kernel_args[3].shape[1]
+        return 0
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "mu": self.mu.tolist()}

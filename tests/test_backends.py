@@ -78,3 +78,23 @@ def test_bad_flag_rejected():
         env=env, capture_output=True, text=True)
     assert proc.returncode != 0
     assert "HAWKESLOB_BACKEND" in proc.stderr
+
+
+def test_fallback_notice_goes_to_stderr_once():
+    env = {k: v for k, v in os.environ.items() if k != "HAWKESLOB_BACKEND"}
+    # ``None`` in sys.modules makes ``import numba`` raise ImportError, so
+    # the fallback runs whether or not numba is installed.
+    code = ("import sys; sys.modules['numba'] = None\n"
+            "import hawkeslob.backend, hawkeslob, hawkeslob.cli\n"
+            "print(hawkeslob.backend.BACKEND)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "numpy\n"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "numba" in lines[0] and "'numpy' backend" in lines[0]
+
+    env["HAWKESLOB_BACKEND"] = "numpy"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "numpy\n" and proc.stderr == ""

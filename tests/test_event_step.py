@@ -5,6 +5,7 @@ a wrapped power-law event log is refused, and ``simulate`` writes the
 import numpy as np
 import pytest
 
+from hawkeslob import _kernels as _k
 from hawkeslob.agents import RandomAgent
 from hawkeslob.cli import main
 from hawkeslob.env import ACTION_SET_FULL, EpisodeConfig, MarketMakingEnv
@@ -86,6 +87,17 @@ def test_powerlaw_log_wrap_within_horizon_raises():
     t_late = 0.1 + params.pl_horizon + 0.5
     assert np.array_equal(wrapped.intensities(t_late),
                           full.intensities(t_late))
+
+
+def test_powerlaw_log_exactly_full_is_not_a_wrap():
+    params = default_kernel_params("powerlaw")
+    full = HawkesClock(params, log_capacity=8)
+    roomy = HawkesClock(params, log_capacity=64)
+    for k in range(8):
+        full.apply_event(k % 12, 0.1 * k)
+        roomy.apply_event(k % 12, 0.1 * k)
+    assert full.clock_i[_k.CK_LOG_SIZE] == 8  # every slot used, none lost
+    assert np.array_equal(full.intensities(1.0), roomy.intensities(1.0))
 
 
 @pytest.mark.parametrize("agent", ["hold", "random", "prob"])
