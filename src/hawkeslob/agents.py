@@ -21,14 +21,14 @@ procedure deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Protocol, Tuple
 
 import numpy as np
 
 from .env import Observation
-from .events import EventType, Impulse, RESTRICTED_IMPULSES
-from .ppo import SUB_MASK_IDX, PolicyNets, sample_action
+from .events import EventType, Impulse
+from .ppo import PolicyNets, sample_action
 from .rng import RandomStream
 
 Action = Tuple[int, Optional[Impulse]]
@@ -46,11 +46,7 @@ class ProbAgentConfig:
             raise ValueError("skew_threshold must be >= 1")
 
     def to_dict(self) -> dict:
-        return {"y_max": self.y_max, "skew_threshold": self.skew_threshold}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ProbAgentConfig":
-        return cls(**doc)
+        return asdict(self)
 
 
 def prob_agent_act(obs: Observation, config: ProbAgentConfig,
@@ -139,28 +135,16 @@ class CheckpointAgent:
 
     name = "checkpoint"
 
-    def __init__(self, nets: PolicyNets, rng: RandomStream,
-                 deterministic: bool = False):
+    def __init__(self, nets: PolicyNets, rng: RandomStream):
         self.nets = nets
         self.rng = rng
-        self.deterministic = deterministic
 
     @classmethod
-    def load(cls, path: str, rng: RandomStream,
-             deterministic: bool = False) -> "CheckpointAgent":
-        return cls(PolicyNets.load(path), rng, deterministic)
+    def load(cls, path: str, rng: RandomStream) -> "CheckpointAgent":
+        return cls(PolicyNets.load(path), rng)
 
     def act(self, obs: Observation, mask: np.ndarray) -> Action:
-        if not self.deterministic:
-            return sample_action(self.nets, obs, mask, self.rng)[0]
-        sub_mask = mask[SUB_MASK_IDX]
-        features = self.nets.features(obs)
-        z = float(self.nets.decision.forward(features)[0])
-        if z <= 0.0 or not sub_mask.any():
-            return 0, None
-        logits = self.nets.action.forward(features)
-        logits = np.where(sub_mask, logits, -np.inf)
-        return 1, RESTRICTED_IMPULSES[int(np.argmax(logits))]
+        return sample_action(self.nets, obs, mask, self.rng)[0]
 
 
 def make_agent(spec: str, rng: RandomStream,

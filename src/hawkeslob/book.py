@@ -16,7 +16,7 @@ documented in :mod:`hawkeslob._kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,9 +35,6 @@ class QueueRedrawPolicy:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError("redraw p must be in (0, 1)")
-
-    def sample(self, rng: RandomStream) -> int:
-        return 1 + rng.geometric(self.p)
 
 
 @dataclass(frozen=True)
@@ -171,31 +168,27 @@ class BookInitConfig:
     """Initial-state sampling parameters.
 
     Mid-price ~ Normal(p_mid_mean, p_mid_var) rounded to the tick grid,
-    spread ticks ~ 1 + Geometric(spread_geom_p), queue sizes drawn from
-    the redraw policy. Draw order: mid, spread, q_ask, q_bid, q_ask_d,
-    q_bid_d (then inventory when ``sample_inventory``).
+    spread ticks ~ 1 + Geometric(spread_geom_p), each queue size
+    ~ 1 + Geometric(redraw_geom_p), the law that also redraws a promoted
+    or replenished queue during the episode. Draw order: mid, spread,
+    q_ask, q_bid, q_ask_d, q_bid_d (then inventory when
+    ``sample_inventory``).
     """
 
     p_mid_mean: float = 200.0
     p_mid_var: float = 100.0
     spread_geom_p: float = 0.8
     tick: float = 0.01
-    redraw: QueueRedrawPolicy = QueueRedrawPolicy()
+    redraw_geom_p: float = 0.4
     inventory_std: float = 2.0
 
-    def to_dict(self) -> dict:
-        return {
-            "p_mid_mean": self.p_mid_mean, "p_mid_var": self.p_mid_var,
-            "spread_geom_p": self.spread_geom_p, "tick": self.tick,
-            "redraw_geom_p": self.redraw.p,
-            "inventory_std": self.inventory_std,
-        }
+    def __post_init__(self):
+        for name in ("spread_geom_p", "redraw_geom_p"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1)")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BookInitConfig":
-        doc = dict(doc)
-        redraw = QueueRedrawPolicy(p=doc.pop("redraw_geom_p", 0.4))
-        return cls(redraw=redraw, **doc)
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def sample_book(config: BookInitConfig, rng: RandomStream) -> BookState:
@@ -204,11 +197,11 @@ def sample_book(config: BookInitConfig, rng: RandomStream) -> BookState:
     spread_ticks = 1 + rng.geometric(config.spread_geom_p)
     ask = center + (spread_ticks + 1) // 2
     bid = ask - spread_ticks
-    return BookState(
-        p_ask_ticks=ask, p_bid_ticks=bid,
-        q_ask=config.redraw.sample(rng), q_bid=config.redraw.sample(rng),
-        q_ask_d=config.redraw.sample(rng), q_bid_d=config.redraw.sample(rng),
-        tick=config.tick)
+    q_ask, q_bid, q_ask_d, q_bid_d = (
+        1 + rng.geometric(config.redraw_geom_p) for _ in range(4))
+    return BookState(p_ask_ticks=ask, p_bid_ticks=bid, q_ask=q_ask,
+                     q_bid=q_bid, q_ask_d=q_ask_d, q_bid_d=q_bid_d,
+                     tick=config.tick)
 
 
 def sample_initial_state(config: BookInitConfig, rng: RandomStream,

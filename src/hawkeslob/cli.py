@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .agents import ProbAgentConfig, make_agent
@@ -28,6 +28,15 @@ from .rng import RandomStream, derive_seed
 from .sweep import run_sweep
 
 
+# Config document sections after ``kernel``, each built as ``cls(**doc)``.
+SECTIONS = {
+    "episode": EpisodeConfig,
+    "init": BookInitConfig,
+    "trainer": TrainerConfig,
+    "prob_agent": ProbAgentConfig,
+}
+
+
 @dataclass
 class AppConfig:
     kernel: KernelParams
@@ -35,12 +44,19 @@ class AppConfig:
     init: BookInitConfig
     trainer: TrainerConfig
     prob_agent: ProbAgentConfig
-    raw: dict
 
     def docs(self) -> tuple:
-        return (self.kernel.to_dict(), self.episode.to_dict(),
-                self.init.to_dict(), self.trainer.to_dict(),
-                self.prob_agent.to_dict())
+        return (self.kernel.to_dict(),
+                *(getattr(self, name).to_dict() for name in SECTIONS))
+
+
+def _build(name: str, cls, doc: dict):
+    """``cls(**doc)``, refusing a key that is not one of its fields."""
+    known = {f.name for f in fields(cls)}
+    unknown = [f"{name}.{key}" for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}")
+    return cls(**doc)
 
 
 def load_app_config(path: Optional[str]) -> AppConfig:
@@ -48,28 +64,25 @@ def load_app_config(path: Optional[str]) -> AppConfig:
     if path:
         with open(path) as fh:
             doc = json.load(fh)
+    unknown = [key for key in doc
+               if key not in ("kernel", "kernel_profile", *SECTIONS)]
+    if unknown:
+        raise ValueError(f"unknown config section {', '.join(unknown)}")
+    if "kernel" in doc and "kernel_profile" in doc:
+        raise ValueError("give kernel or kernel_profile, not both")
     if "kernel" in doc:
-        kernel = KernelParams.from_dict(doc["kernel"])
+        kernel = _build("kernel", KernelParams, doc["kernel"])
     else:
         kernel = default_kernel_params(doc.get("kernel_profile",
                                                "exponential"))
-    episode = EpisodeConfig.from_dict(doc.get("episode", {}))
-    init = BookInitConfig.from_dict(doc.get("init", {}))
-    trainer = TrainerConfig.from_dict(doc.get("trainer", {}))
-    prob_agent = ProbAgentConfig.from_dict(doc.get("prob_agent", {}))
-    return AppConfig(kernel=kernel, episode=episode, init=init,
-                     trainer=trainer, prob_agent=prob_agent, raw=doc)
+    sections = {name: _build(name, cls, doc.get(name, {}))
+                for name, cls in SECTIONS.items()}
+    return AppConfig(kernel=kernel, **sections)
 
 
 def default_config_document() -> dict:
     """The full default configuration as a JSON-ready document."""
-    return {
-        "kernel": default_kernel_params().to_dict(),
-        "episode": EpisodeConfig().to_dict(),
-        "init": BookInitConfig().to_dict(),
-        "trainer": TrainerConfig().to_dict(),
-        "prob_agent": ProbAgentConfig().to_dict(),
-    }
+    return dict(zip(["kernel", *SECTIONS], load_app_config(None).docs()))
 
 
 def _at_least(low: int):

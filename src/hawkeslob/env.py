@@ -26,7 +26,7 @@ thinning proposals survive interval boundaries).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -75,16 +75,7 @@ class EpisodeConfig:
         return int(round(self.horizon / self.decision_dt))
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon, "decision_dt": self.decision_dt,
-            "eta": self.eta, "kappa": self.kappa, "fee_bps": self.fee_bps,
-            "initial_cash": self.initial_cash, "action_set": self.action_set,
-            "history_window": self.history_window, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EpisodeConfig":
-        return cls(**doc)
+        return asdict(self)
 
 
 # Observation vector layout; block names are the ablation vocabulary.
@@ -263,7 +254,7 @@ class MarketMakingEnv:
                 raise InadmissibleImpulseError(
                     f"{psi.name} inadmissible in current state")
             _k.apply_impulse(self._book_arr, self._cash_arr, int(psi),
-                             self._tick, self.init_config.redraw.p,
+                             self._tick, self.init_config.redraw_geom_p,
                              self._rng.state)
             action_name = psi.name
 
@@ -305,7 +296,7 @@ class MarketMakingEnv:
         clock = self._clock
         _k.advance_interval(
             *clock.state, self._book_arr, self._cash_arr, self._tick,
-            self.init_config.redraw.p, self._rng.state, t_end,
+            self.init_config.redraw_geom_p, self._rng.state, t_end,
             clock.lam_buf, self._fill_px)
         for side_ask, price in zip((True, False), self._fill_px):
             if not math.isnan(price):

@@ -14,8 +14,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, astuple, dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def annualized_sharpe(episode_pnls: Sequence[float], initial_cash: float,
     return float(returns.mean() / std * math.sqrt(n_year))
 
 
-def detect_pump_and_dump(times: Sequence[float],
+def detect_pump_and_dump(times: Optional[Sequence[float]],
                          inventory: Sequence[float],
                          peak_multiple: float = 5.0,
                          ) -> Tuple[bool, float]:
@@ -52,7 +52,8 @@ def detect_pump_and_dump(times: Sequence[float],
     Flags when the early-episode |Y| peak exceeds ``peak_multiple`` times
     the trace median |Y| and the terminal half unwinds the position
     (net flow opposite in sign to the mid-episode inventory). The score
-    is peak/median regardless of the flag.
+    is peak/median regardless of the flag. ``inventory`` is sampled on
+    the decision grid; ``times`` is not read.
     """
     y = np.asarray(inventory, dtype=np.float64)
     if y.size < 4:
@@ -86,19 +87,7 @@ class RunSummary:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "n_episodes": self.n_episodes,
-            "mean_pnl": self.mean_pnl,
-            "std_pnl": self.std_pnl,
-            "sharpe": self.sharpe,
-            "mean_abs_inventory": self.mean_abs_inventory,
-            "total_fills": self.total_fills,
-            "action_histogram": dict(sorted(self.action_histogram.items())),
-            "pump_and_dump_fraction": self.pump_and_dump_fraction,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def config_hash(*docs: dict) -> str:
@@ -143,8 +132,7 @@ def run_episode(env: MarketMakingEnv, agent, seed: int,
             action_counts[psi.name] = action_counts.get(psi.name, 0) + 1
         rewards.append(reward.total)
         inventory.append(obs.inventory)
-    times = env.config.decision_dt * np.arange(1, len(rewards) + 1)
-    flagged, score = detect_pump_and_dump(times, inventory)
+    flagged, score = detect_pump_and_dump(None, inventory)
     stats = EpisodeStats(
         episode=0, pnl=episode_pnl(env),
         mean_abs_inventory=float(np.mean(np.abs(inventory))),
@@ -175,7 +163,11 @@ def evaluate_agent(env: MarketMakingEnv, agent, n_episodes: int, seed: int,
         for name, count in stats.action_counts.items():
             histogram[name] = histogram.get(name, 0) + count
         if trace_dir is not None:
-            write_trace_csv(os.path.join(trace_dir, f"trace_{e}.csv"), env)
+            write_csv(os.path.join(trace_dir, f"trace_{e}.csv"),
+                      TRACE_COLUMNS,
+                      [[r.t, r.cash, r.inventory, r.p_ask, r.p_bid, r.action,
+                        r.reward.total, *astuple(r.reward)]
+                       for r in env.trace])
     pnls = [s.pnl for s in episodes]
     sharpe = None
     if len(pnls) >= 2:
@@ -199,8 +191,43 @@ def evaluate_agent(env: MarketMakingEnv, agent, n_episodes: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Deterministic serialization (all floats as repr: >= 12 significant digits)
+# Deterministic serialization. Every CSV file is written by ``write_csv``
+# with one cell rule: floats (numpy float64 too) as the repr of the Python
+# float, the shortest text that reads back to the same bits; bools as 0/1;
+# None as ``undefined``; a column missing from a dict row as an empty
+# cell; anything else as str.
 # ---------------------------------------------------------------------------
+
+EPISODE_COLUMNS = ["episode", "pnl", "mean_abs_inventory", "n_fills",
+                   "n_interventions", "pump_and_dump", "pump_score"]
+
+# The last four trace columns are RewardBreakdown's fields, in order.
+TRACE_COLUMNS = ["t", "cash", "inventory", "p_ask", "p_bid", "action",
+                 "reward_total", "inventory_penalty", "cash_delta",
+                 "inventory_value_delta", "terminal_adjustment"]
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    if value is None:
+        return "undefined"
+    return value
+
+
+def write_csv(path: str, columns: Sequence[str], rows: Iterable) -> None:
+    """Write a header and one line per row; a row is a dict keyed by
+    column or a sequence in column order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            if isinstance(row, dict):
+                row = [row.get(c, "") for c in columns]
+            writer.writerow([_cell(v) for v in row])
+
 
 def write_summary_json(path: str, summary: RunSummary) -> None:
     with open(path, "w") as fh:
@@ -209,30 +236,4 @@ def write_summary_json(path: str, summary: RunSummary) -> None:
 
 
 def write_episodes_csv(path: str, episodes: Sequence[EpisodeStats]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "pnl", "mean_abs_inventory", "n_fills",
-                         "n_interventions", "pump_and_dump", "pump_score"])
-        for s in episodes:
-            writer.writerow([s.episode, repr(s.pnl),
-                             repr(s.mean_abs_inventory), s.n_fills,
-                             s.n_interventions, int(s.pump_and_dump),
-                             repr(s.pump_score)])
-
-
-def write_trace_csv(path: str, env: MarketMakingEnv) -> None:
-    """One row per decision step (requires the env to record traces)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "cash", "inventory", "p_ask", "p_bid",
-                         "action", "reward_total", "inventory_penalty",
-                         "cash_delta", "inventory_value_delta",
-                         "terminal_adjustment"])
-        for rec in env.trace:
-            writer.writerow([
-                repr(rec.t), repr(rec.cash), rec.inventory, repr(rec.p_ask),
-                repr(rec.p_bid), rec.action, repr(rec.reward.total),
-                repr(rec.reward.inventory_penalty),
-                repr(rec.reward.cash_delta),
-                repr(rec.reward.inventory_value_delta),
-                repr(rec.reward.terminal_adjustment)])
+    write_csv(path, EPISODE_COLUMNS, [vars(s) for s in episodes])

@@ -69,8 +69,10 @@ class KernelParams:
                 raise ValueError("beta_pl entries must be > 1")
             if np.any(delta_pl <= 0):
                 raise ValueError("delta_pl entries must be > 0")
-            if self.pl_horizon <= 0:
+            pl_horizon = float(self.pl_horizon)
+            if pl_horizon <= 0:
                 raise ValueError("pl_horizon must be > 0")
+            object.__setattr__(self, "pl_horizon", pl_horizon)
             object.__setattr__(self, "alpha_pl", alpha_pl)
             object.__setattr__(self, "beta_pl", beta_pl)
             object.__setattr__(self, "delta_pl", delta_pl)
@@ -165,17 +167,6 @@ class KernelParams:
             out["delta_pl"] = self.delta_pl.tolist()
             out["pl_horizon"] = self.pl_horizon
         return out
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "KernelParams":
-        kind = doc["kind"]
-        if kind == EXPONENTIAL:
-            return cls(kind=kind, mu=doc["mu"], alpha=doc["alpha"],
-                       gamma=doc["gamma"])
-        return cls(kind=kind, mu=doc["mu"], alpha_pl=doc["alpha_pl"],
-                   beta_pl=doc["beta_pl"], delta_pl=doc["delta_pl"],
-                   pl_horizon=float(doc.get("pl_horizon",
-                                            DEFAULT_PL_HORIZON)))
 
 
 def powerlaw_tail_intensity_bound(params: KernelParams,

@@ -20,7 +20,7 @@ import heapq
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +30,7 @@ from .env import (EpisodeConfig, MarketMakingEnv, OBS_BLOCKS, OBS_DIM,
 from .events import Impulse, RESTRICTED_IMPULSES
 from .book import BookInitConfig
 from .intervention import RESTRICTED_IDX
-from .metrics import EpisodeStats, run_episode
+from .metrics import EpisodeStats, run_episode, write_csv
 from .nn import HEAD_SIZES, DenseNet, Gradients
 from .params import KernelParams
 from .rng import RandomStream, derive_seed
@@ -76,18 +76,10 @@ class TrainerConfig:
             raise ValueError("gae_lambda must be in (0, 1]")
         if self.ablation not in ABLATION_CHOICES:
             raise ValueError(f"unknown ablation {self.ablation!r}")
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
     def to_dict(self) -> dict:
-        doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        doc["hidden_sizes"] = list(self.hidden_sizes)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainerConfig":
-        doc = dict(doc)
-        if "hidden_sizes" in doc:
-            doc["hidden_sizes"] = tuple(doc["hidden_sizes"])
-        return cls(**doc)
+        return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +650,8 @@ def train(kernel_params: KernelParams, episode_config: EpisodeConfig,
         os.makedirs(out_dir, exist_ok=True)
         checkpoint_path = os.path.join(out_dir, "checkpoint.json")
         nets.save(checkpoint_path)
-        _write_training_log(os.path.join(out_dir, "training_log.csv"),
-                            log_rows)
+        if log_rows:
+            write_csv(os.path.join(out_dir, "training_log.csv"),
+                      list(log_rows[0]), log_rows)
     return TrainResult(nets=nets, log_rows=log_rows,
                        checkpoint_path=checkpoint_path)
-
-
-def _write_training_log(path: str, rows: List[dict]) -> None:
-    import csv
-
-    if not rows:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                             for k, v in row.items()})

@@ -24,7 +24,7 @@ candidates must be supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -287,12 +287,7 @@ class DynkinResult:
     z: float
 
     def to_dict(self) -> dict:
-        return {
-            "function": self.function, "type_index": self.type_index,
-            "t_end": self.t_end, "n_paths": self.n_paths,
-            "estimate": self.estimate, "reference": self.reference,
-            "se": self.se, "z": self.z,
-        }
+        return asdict(self)
 
 
 def dynkin_reference(params: KernelParams, t_end: float) -> Tuple[np.ndarray,

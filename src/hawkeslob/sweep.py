@@ -1,7 +1,7 @@
 """Sensitivity/ablation sweep harness.
 
 Grid axes: ``eta`` (inventory penalty), ``fee_bps`` (terminal fee),
-``kernel`` (exponential | powerlaw), ``sil`` (on | off), ``ablation``
+``kernel`` (exponential | powerlaw), ``sil`` (true | false), ``ablation``
 (observation block zeroed in the trainer). Every cell trains a fresh
 agent and evaluates it out-of-sample with seeds matched across cells
 (derived from the base seed and the evaluation stream only), so cells
@@ -12,7 +12,6 @@ the sweep continues.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
@@ -20,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from .book import BookInitConfig
 from .env import EpisodeConfig, MarketMakingEnv
 from .agents import CheckpointAgent
-from .metrics import evaluate_agent
+from .metrics import evaluate_agent, write_csv
 from .params import default_kernel_params
 from .ppo import TrainerConfig, train
 from .rng import RandomStream, derive_seed
@@ -48,6 +47,8 @@ def expand_grid(grid: Dict[str, Sequence]) -> List[SweepCell]:
     unknown = set(grid) - set(SWEEP_AXES)
     if unknown:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
+    if not all(isinstance(v, bool) for v in grid.get("sil", ())):
+        raise ValueError("sil values must be true or false")
     axes = [axis for axis in SWEEP_AXES if axis in grid]
     if not axes:
         return []
@@ -98,42 +99,16 @@ def run_sweep(grid: Dict[str, Sequence], episode_config: EpisodeConfig,
     cells = expand_grid(grid)
     rows: List[dict] = []
     for cell in cells:
-        row = {
-            "cell": cell.index,
-            "eta": "" if cell.eta is None else cell.eta,
-            "fee_bps": "" if cell.fee_bps is None else cell.fee_bps,
-            "kernel": cell.kernel or "",
-            "sil": "" if cell.sil is None else int(cell.sil),
-            "ablation": cell.ablation or "",
-        }
+        row = {"cell": cell.index}
+        row.update((axis, getattr(cell, axis)) for axis in SWEEP_AXES
+                   if getattr(cell, axis) is not None)
         try:
             row.update(run_cell(cell, episode_config, trainer_config,
                                 init_config, seed, eval_episodes))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             message = " ".join(str(exc).split())
-            row.update({"status": f"failed: {type(exc).__name__}: {message}",
-                        "mean_pnl": "", "sharpe": "",
-                        "mean_abs_inventory": "",
-                        "pump_and_dump_fraction": "", "degenerate": ""})
+            row["status"] = f"failed: {type(exc).__name__}: {message}"
         rows.append(row)
     if out_csv is not None:
-        write_sweep_csv(out_csv, rows)
+        write_csv(out_csv, SWEEP_COLUMNS, rows)
     return rows
-
-
-def write_sweep_csv(path: str, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = {}
-            for key in SWEEP_COLUMNS:
-                value = row.get(key, "")
-                if isinstance(value, float):
-                    value = repr(value)
-                elif isinstance(value, bool):
-                    value = int(value)
-                elif value is None:
-                    value = "undefined"
-                out[key] = value
-            writer.writerow(out)
