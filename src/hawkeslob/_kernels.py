@@ -31,8 +31,12 @@ kernel::
 
 ``HawkesClock`` builds it once as ``clock.state``, and callers pass
 ``*clock.state``. ``clock_f`` is ``float64[4]`` (now, excitation anchor
-time, pending thinning candidate time or nan, pending proposal bound);
-``clock_i`` is ``int64[2]`` (event-log write position, event-log size).
+time, pending thinning candidate time or nan, thinning bound or nan).
+The thinning bound is carried from one proposal to the next: it is the
+total intensity at ``now`` as the last proposal left it, which a pending
+candidate was drawn with, and nan when it must be evaluated afresh (see
+``next_event``). ``clock_i`` is ``int64[2]`` (event-log write position,
+event-log size).
 The newest log entry holds the last event time.
 
 The parameter arrays ``a1``, ``a2``, ``a3`` are ``float64`` rank 2 for
@@ -48,7 +52,8 @@ both kinds (``KernelParams.kernel_args`` builds them):
   and ``a3`` is unused.
 * power-law (kind 1): ``a1``, ``a2``, ``a3`` are alpha_pl, beta_pl and
   delta_pl (``[d, d]``), ``horizon`` is the truncation age, and ``exc``
-  is unused (m = 0); the intensity is a sum over the event log.
+  is unused (m = 0); the intensity is a sum over the event log, one
+  array expression over the entries within ``horizon``.
 
 Event step: ``next_event`` samples the next event by thinning and
 registers it on the clock, so every sampling loop shares one step and
@@ -83,12 +88,16 @@ from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
 # --- book array slots -------------------------------------------------------
 PA, PB, QA, QB, QAD, QBD, NA, NB, YINV = 0, 1, 2, 3, 4, 5, 6, 7, 8
 # --- clock float slots ------------------------------------------------------
-CK_NOW, CK_ANCHOR, CK_PEND_T, CK_PEND_BOUND = 0, 1, 2, 3
+CK_NOW, CK_ANCHOR, CK_PEND_T, CK_BOUND = 0, 1, 2, 3
 # --- clock int slots --------------------------------------------------------
 CK_LOG_NEXT, CK_LOG_SIZE = 0, 1
 
 KIND_EXP = 0
 KIND_POWERLAW = 1
+
+# Relative excess of a candidate intensity over the carried thinning bound
+# that is still rounding; anything larger raises in ``next_event``.
+BOUND_RTOL = 1e-12
 
 _U64 = np.uint64
 _M16 = _U64(0xFFFF)
@@ -187,6 +196,23 @@ def rng_geometric(st, p):
 # ---------------------------------------------------------------------------
 
 @njit
+def _first_within(log_t, lo, hi, t, horizon):
+    """First index k in the time-sorted run ``log_t[lo:hi]`` with
+    ``t - log_t[k] <= horizon``, or ``hi`` when there is none.
+
+    ``searchsorted`` on ``t - horizon`` lands within rounding of it; the
+    two steps then settle the exact predicate, which holds on a suffix of
+    the run because ``t - x`` rounds monotonically in ``x``.
+    """
+    k = lo + np.searchsorted(log_t[lo:hi], t - horizon)
+    while k > lo and t - log_t[k - 1] <= horizon:
+        k -= 1
+    while k < hi and t - log_t[k] > horizon:
+        k += 1
+    return k
+
+
+@njit
 def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, t, out):
     """Fill ``out`` with per-type intensities at time ``t``; return total.
@@ -195,11 +221,13 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     ``exc``, each decayed from the anchor time by its slot decay
     ``a2[i, k]``; ``exc`` is not mutated, so the value at a given time
     does not depend on how many intermediate queries were made. Power-law
-    kernels (kind 1): direct sum over the event log, newest first,
-    truncated at ``horizon`` seconds of age; raises ``ValueError`` when an
-    entry has been overwritten (more events than ``log_capacity``) and the
-    oldest kept entry is within ``horizon``, since overwritten events
-    would be missing.
+    kernels (kind 1): direct sum over the logged events at most
+    ``horizon`` seconds old, one ``[n, d]`` array expression whose rows are
+    added in log order, oldest first, so a given set of entries gives the
+    same bits wherever the ring buffer holds them; raises ``ValueError``
+    when an entry has been overwritten (more events than ``log_capacity``)
+    and the oldest kept entry is within ``horizon``, since overwritten
+    events would be missing.
     """
     d = mu.shape[0]
     total = 0.0
@@ -215,25 +243,43 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
             out[i] = s
             total += s
     else:
-        for i in range(d):
-            out[i] = mu[i]
         cap = log_t.shape[0]
         log_next = clock_i[CK_LOG_NEXT]
-        if (clock_i[CK_LOG_SIZE] == cap and counts.sum() > cap
+        full = clock_i[CK_LOG_SIZE] == cap
+        if (full and counts.sum() > cap
                 and t - log_t[log_next] <= horizon):
             raise ValueError("event log wrapped within the power-law "
                              "horizon; raise log_capacity")
-        for k in range(clock_i[CK_LOG_SIZE]):
-            idx = (log_next - 1 - k) % cap
-            age = t - log_t[idx]
-            if age > horizon:
-                break
-            j = log_e[idx]
-            for i in range(d):
-                a = a1[i, j]
-                if a != 0.0:
-                    out[i] += a * (1.0 + age / a3[i, j]) ** (-a2[i, j])
+        # The kept entries, oldest first: a run ending at the newest entry.
+        # In a full log it may start in the older slice [log_next, cap),
+        # and then it takes all of the newer slice [0, log_next).
+        lo = _first_within(log_t, 0, log_next, t, horizon)
+        lo_old = cap
+        if lo == 0 and full:
+            lo_old = _first_within(log_t, log_next, cap, t, horizon)
+        if lo_old < cap:
+            kept_t = np.concatenate((log_t[lo_old:], log_t[:log_next]))
+            kept_e = np.concatenate((log_e[lo_old:], log_e[:log_next]))
+        else:
+            kept_t = log_t[lo:log_next]
+            kept_e = log_e[lo:log_next]
+        n = kept_t.shape[0]
+        age = (t - kept_t).reshape((n, 1))
+        # Row k of these [n, d] arrays is what entry k adds to each type.
+        # Only pairs with alpha != 0 take the power (flattened, so the
+        # mask is 1-d). ``float_power`` is libm's ``pow`` on both backends,
+        # where numpy's ``**`` may use SIMD code that differs in the last
+        # bit.
+        terms = a1.T[kept_e].ravel()
+        base = (1.0 + age / a3.T[kept_e]).ravel()
+        expo = a2.T[kept_e].ravel()
+        on = terms != 0.0
+        terms[on] = terms[on] * np.float_power(base[on], -expo[on])
+        # Reduced over axis 0, the rows are added one after another, in
+        # log order.
+        excitation = terms.reshape((n, d)).sum(axis=0)
         for i in range(d):
+            out[i] = mu[i] + excitation[i]
             total += out[i]
     return total
 
@@ -271,6 +317,23 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
 
 
 @njit
+def _jump(kind, a1, exc, j):
+    """Total intensity an event of type ``j`` adds at age 0: the column
+    sum of ``a1`` over j's m slots (exponential) or column j (power-law)."""
+    if kind == KIND_EXP:
+        lo = j * exc.shape[1]
+        hi = lo + exc.shape[1]
+    else:
+        lo = j
+        hi = j + 1
+    s = 0.0
+    for i in range(a1.shape[0]):
+        for c in range(lo, hi):
+            s += a1[i, c]
+    return s
+
+
+@njit
 def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
                log_t, log_e, rng, t_max, lam_buf):
     """Ogata thinning step: sample the next event at or before ``t_max``
@@ -280,35 +343,49 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
     the clock's ``now`` advanced to ``t``, or
     ``(t_max, -1)`` when no event occurs, with ``now`` advanced to
     ``t_max``. A proposal that overshoots ``t_max`` is stored as a pending
-    candidate (time and proposal bound) and consumed by the next call, so
-    simulating in chunks consumes the identical random stream as one call:
-    output is invariant to horizon partitioning, bit for bit.
+    candidate, with the bound it was drawn with left in the bound slot,
+    and consumed by the next call, so simulating in chunks consumes the
+    identical random stream as one call: output is invariant to horizon
+    partitioning, bit for bit.
 
-    The proposal bound is the total intensity at the current anchor, valid
-    because both kernel families are non-increasing between events.
+    The proposal bound is the total intensity at ``now``, valid because
+    both kernel families are non-increasing between events. It is carried
+    in ``clock_f[CK_BOUND]``, so each proposal evaluates the intensity
+    once, at its candidate time: a rejected candidate leaves the bound at
+    the intensity just computed, an accepted event of type j at that
+    intensity plus the event's jump (the column sum of ``a1`` for j, the
+    kernel at age 0). Only when the slot is nan (a new clock, or after
+    ``HawkesClock.apply_event``) is the intensity at ``now`` evaluated.
+    A candidate intensity above the bound by more than a relative
+    ``BOUND_RTOL`` would bias the sampler and raises ``ValueError``.
     """
     while True:
         if math.isnan(clock_f[CK_PEND_T]):
-            lam_bar = intensities_at(
-                kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
-                log_t, log_e, clock_f[CK_NOW], lam_buf)
+            if math.isnan(clock_f[CK_BOUND]):
+                clock_f[CK_BOUND] = intensities_at(
+                    kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                    counts, log_t, log_e, clock_f[CK_NOW], lam_buf)
+            lam_bar = clock_f[CK_BOUND]
             if lam_bar <= 0.0:
                 clock_f[CK_NOW] = t_max
                 return t_max, -1
             u = rng_uniform(rng)
             clock_f[CK_PEND_T] = clock_f[CK_NOW] - math.log(u) / lam_bar
-            clock_f[CK_PEND_BOUND] = lam_bar
         t_cand = clock_f[CK_PEND_T]
         if t_cand > t_max:
             clock_f[CK_NOW] = t_max
             return t_max, -1
-        lam_bar = clock_f[CK_PEND_BOUND]
+        lam_bar = clock_f[CK_BOUND]
         lam_tot = intensities_at(
             kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
             log_t, log_e, t_cand, lam_buf)
+        if lam_tot - lam_bar > BOUND_RTOL * lam_bar:
+            raise ValueError("intensity above the thinning bound: the "
+                             "kernel increased between events")
         v = rng_uniform(rng) * lam_bar
         clock_f[CK_NOW] = t_cand
         clock_f[CK_PEND_T] = np.nan
+        clock_f[CK_BOUND] = lam_tot
         if v <= lam_tot:
             acc = 0.0
             j_ev = counts.shape[0] - 1
@@ -319,6 +396,7 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
                     break
             register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
                            clock_i, counts, log_t, log_e, t_cand, j_ev)
+            clock_f[CK_BOUND] = lam_tot + _jump(kind, a1, exc, j_ev)
             return t_cand, j_ev
 
 

@@ -7,13 +7,16 @@ k-th distinct decay, which is exact because the intensity is Markov in
 that state (closed-form recursion, one decay per slot per event); m is 1
 for row-constant decay, at most d, and 0 for zero excitation
 (``KernelParams.kernel_args``). For power-law kernels it is a truncated
-event log summed directly; a power-law query raises ``ValueError`` once
-an entry within the truncation horizon has been overwritten. Sampling
-uses Ogata thinning with the anchor intensity as the proposal bound; each
-accepted event is registered on the clock by the same kernel step
-(``_kernels.next_event``) that samples it. An unconsumed proposal
-crossing the horizon is kept as a pending candidate so chunked
-simulation replays the identical stream.
+event log, summed as one array expression over the entries within the
+truncation horizon; a power-law query raises ``ValueError`` once such an
+entry has been overwritten. Sampling uses Ogata thinning with the
+intensity at ``now`` as the proposal bound. The bound is carried from
+one proposal to the next (the intensity at a rejected candidate, or that
+plus the jump of an accepted event), so each proposal evaluates the
+intensity once; ``apply_event`` resets it. Each accepted event is
+registered on the clock by the same kernel step (``_kernels.next_event``)
+that samples it. An unconsumed proposal crossing the horizon is kept as
+a pending candidate so chunked simulation replays the identical stream.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class HawkesClock:
         d = params.n_types
         self.exc = np.zeros((d, params.n_slots))
         self.counts = np.zeros(d, dtype=np.int64)
-        self.clock_f = np.array([t0, t0, np.nan, 0.0])
+        self.clock_f = np.array([t0, t0, np.nan, np.nan])
         self.clock_i = np.zeros(2, dtype=np.int64)
         self.log_t = np.zeros(log_capacity)
         self.log_e = np.zeros(log_capacity, dtype=np.int64)
@@ -100,8 +103,9 @@ class HawkesClock:
     def apply_event(self, i: int, t: float) -> None:
         """Record an event of type ``i`` at time ``t`` and advance to it.
 
-        Invalidates any pending thinning proposal: mixing manual event
-        insertion with sampling restarts the proposal from ``t``.
+        Invalidates any pending thinning proposal and the carried bound:
+        mixing manual event insertion with sampling restarts the proposal
+        from ``t`` with a fresh intensity evaluation.
         """
         if not 0 <= i < self.params.n_types:
             raise IndexError(f"event type index {i} out of range")
@@ -110,6 +114,7 @@ class HawkesClock:
         _k.register_event(*self.state, t, i)
         self.clock_f[_k.CK_NOW] = t
         self.clock_f[_k.CK_PEND_T] = np.nan
+        self.clock_f[_k.CK_BOUND] = np.nan
 
     def sample_next_event(self, t_max: float, rng: RandomStream):
         """Next event by thinning, applied to the clock; None past t_max."""

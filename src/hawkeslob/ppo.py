@@ -76,7 +76,18 @@ class TrainerConfig:
             raise ValueError("gae_lambda must be in (0, 1]")
         if self.ablation not in ABLATION_CHOICES:
             raise ValueError(f"unknown ablation {self.ablation!r}")
+        for name in ("minibatch_size", "episodes_per_update", "sil_batch",
+                     "sil_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # Zero epochs collects rollouts without updating; zero episodes
+        # trains nothing.
+        for name in ("epochs_per_update", "total_episodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes entries must be >= 1")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}

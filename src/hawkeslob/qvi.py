@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import _kernels as _k
 from .book import (AgentBookState, BookInitConfig, BookState, pack_state,
@@ -294,6 +293,10 @@ def dynkin_reference(params: KernelParams, t_end: float) -> Tuple[np.ndarray,
                                                                   np.ndarray]:
     """Closed-form (E[lam(t)], E[N(t)]) via the matrix exponential of the
     affine moment system m' = diag(gamma)(mu - m) + alpha m, c' = m."""
+    # Imported here: this is scipy's only use, and it keeps scipy off the
+    # import path of every other command.
+    from scipy.linalg import expm
+
     gamma_i = row_gamma(params)
     d = params.n_types
     big = np.zeros((2 * d + 1, 2 * d + 1))

@@ -1,0 +1,30 @@
+"""``TrainerConfig`` refuses sizes the trainer cannot run, naming the field,
+and keeps accepting the zero counts that mean "do nothing"."""
+
+import pytest
+
+from hawkeslob.cli import load_app_config
+from hawkeslob.ppo import TrainerConfig
+
+
+@pytest.mark.parametrize("field, value", [
+    ("minibatch_size", 0),
+    ("episodes_per_update", 0),
+    ("sil_batch", 0),
+    ("sil_capacity", 0),
+    ("epochs_per_update", -1),
+    ("total_episodes", -3),
+    ("hidden_sizes", (8, 0)),
+])
+def test_bad_size_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainerConfig(**{field: value})
+
+
+def test_zero_counts_stay_valid():
+    cfg = TrainerConfig(epochs_per_update=0, total_episodes=0)
+    assert (cfg.epochs_per_update, cfg.total_episodes) == (0, 0)
+
+
+def test_shipped_trainer_loads():
+    assert load_app_config(None).trainer == TrainerConfig()
