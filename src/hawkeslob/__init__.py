@@ -1,5 +1,18 @@
 """Hawkes-driven LOB market making: simulator, RL agents, QVI harness."""
 
+import os
+import sys
+
+# One BLAS thread unless the user chose otherwise: the nets are 64 wide,
+# so threads gain nothing, and they cost 1.5-3x once another core is busy.
+# BLAS reads the variables when numpy loads, so this runs before the
+# package's first numpy import. A process that loaded numpy first keeps
+# its threads, and its environment (which children inherit) is left alone.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 from .backend import BACKEND, USE_NUMBA
 from .book import (AgentBookState, BookInitConfig, BookState, FillReport,
                    QueueRedrawPolicy, apply_event, mark_to_market)

@@ -8,11 +8,14 @@ both paths hit the same libm and produce bit-identical streams.
 
 Conventions
 -----------
-RNG state is ``uint64[4]`` holding a KISS-style generator (two 16-bit-lane
-multiply-with-carry streams, a 32-bit xorshift and a 32-bit LCG). All
-arithmetic keeps intermediate values below 2**49, so nothing ever wraps:
-the generator is exact in both backends and never triggers numpy's scalar
-overflow warnings.
+RNG state is four words of a KISS-style generator (two 16-bit-lane
+multiply-with-carry streams, a 32-bit xorshift and a 32-bit LCG): a
+``uint64[4]`` array under numba, and a list of four Python ints on the
+numpy backend, where Python int arithmetic is faster than numpy ``uint64``
+scalars (``RandomStream`` builds the matching layout).
+All arithmetic keeps intermediate values below 2**49, so nothing ever
+wraps: both layouts give the same bits, and numpy's scalar overflow
+warnings never fire.
 
 Book state is ``int64[9]``::
 
@@ -80,7 +83,7 @@ import math
 
 import numpy as np
 
-from .backend import njit
+from .backend import USE_NUMBA, njit
 from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
                      KIND_CO_D, KIND_CO_T, KIND_IS, KIND_LO_D, KIND_LO_T,
                      KIND_MO)
@@ -99,7 +102,7 @@ KIND_POWERLAW = 1
 # that is still rounding; anything larger raises in ``next_event``.
 BOUND_RTOL = 1e-12
 
-_U64 = np.uint64
+_U64 = np.uint64 if USE_NUMBA else int
 _M16 = _U64(0xFFFF)
 _M32 = _U64(0xFFFFFFFF)
 _S5 = _U64(5)
@@ -127,16 +130,22 @@ _SEED_C4 = _U64(0x27D4EB2F)
 
 @njit
 def _rng_next32(st):
-    st[0] = _A_Z * (st[0] & _M16) + (st[0] >> _S16)
-    st[1] = _A_W * (st[1] & _M16) + (st[1] >> _S16)
-    mwc = (((st[0] & _M32) << _S16) + st[1]) & _M32
-    j = st[2]
-    j = (j ^ ((j << _S17) & _M32)) & _M32
-    j = j ^ (j >> _S13)
-    j = (j ^ ((j << _S5) & _M32)) & _M32
-    st[2] = j
-    st[3] = (_LCG_A * st[3] + _LCG_C) & _M32
-    return ((mwc ^ st[3]) + j) & _M32
+    z = st[0]
+    w = st[1]
+    jsr = st[2]
+    jcong = st[3]
+    z = _A_Z * (z & _M16) + (z >> _S16)
+    w = _A_W * (w & _M16) + (w >> _S16)
+    mwc = (((z & _M32) << _S16) + w) & _M32
+    jsr = (jsr ^ ((jsr << _S17) & _M32)) & _M32
+    jsr = jsr ^ (jsr >> _S13)
+    jsr = (jsr ^ ((jsr << _S5) & _M32)) & _M32
+    jcong = (_LCG_A * jcong + _LCG_C) & _M32
+    st[0] = z
+    st[1] = w
+    st[2] = jsr
+    st[3] = jcong
+    return ((mwc ^ jcong) + jsr) & _M32
 
 
 @njit

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Tuple, get_type_hints
+
+import numpy as np
 
 from .agents import ProbAgentConfig, make_agent
 from .book import BookInitConfig
@@ -50,12 +53,69 @@ class AppConfig:
                 *(getattr(self, name).to_dict() for name in SECTIONS))
 
 
-def _build(name: str, cls, doc: dict):
-    """``cls(**doc)``, refusing a key that is not one of its fields."""
-    known = {f.name for f in fields(cls)}
+def _is_number(value) -> bool:
+    """A finite JSON number (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_array(value) -> bool:
+    """A non-ragged nested list of finite numbers."""
+    def leaves_ok(v):
+        if isinstance(v, list):
+            return all(leaves_ok(x) for x in v)
+        return _is_number(v)
+    if not isinstance(value, list) or not leaves_ok(value):
+        return False
+    try:
+        np.asarray(value, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
+
+
+# Field annotation -> (test, description) of the JSON values it accepts.
+_JSON_TYPES = {
+    float: (_is_number, "a finite number"),
+    int: (_is_int, "an integer"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    Tuple[int, ...]: (lambda v: isinstance(v, list)
+                      and all(_is_int(x) for x in v), "a list of integers"),
+    np.ndarray: (_is_number_array, "a number array"),
+    Optional[np.ndarray]: (lambda v: v is None or _is_number_array(v),
+                           "a number array or null"),
+}
+
+
+def _build(name: str, cls, doc):
+    """``cls(**doc)``, refusing a section that is not an object, and a key
+    that is unknown, missing or of the wrong JSON type, by name."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config section {name} must be an object")
+    known = {f.name: f for f in fields(cls)}
     unknown = [f"{name}.{key}" for key in doc if key not in known]
     if unknown:
         raise ValueError(f"unknown config key {', '.join(unknown)}")
+    missing = [f"{name}.{key}" for key, f in known.items()
+               if key not in doc and f.default is MISSING
+               and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing config key {', '.join(missing)}")
+    hints = get_type_hints(cls)
+    for key, value in doc.items():
+        fits, description = _JSON_TYPES[hints[key]]
+        if not fits(value):
+            raise ValueError(f"config key {name}.{key} must be "
+                             f"{description}, got {value!r}")
     return cls(**doc)
 
 
@@ -73,8 +133,11 @@ def load_app_config(path: Optional[str]) -> AppConfig:
     if "kernel" in doc:
         kernel = _build("kernel", KernelParams, doc["kernel"])
     else:
-        kernel = default_kernel_params(doc.get("kernel_profile",
-                                               "exponential"))
+        try:
+            kernel = default_kernel_params(doc.get("kernel_profile",
+                                                   "exponential"))
+        except ValueError as exc:
+            raise ValueError(f"config key kernel_profile: {exc}") from None
     sections = {name: _build(name, cls, doc.get(name, {}))
                 for name, cls in SECTIONS.items()}
     return AppConfig(kernel=kernel, **sections)

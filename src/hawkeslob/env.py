@@ -61,12 +61,13 @@ class EpisodeConfig:
         if self.horizon <= 0 or self.decision_dt <= 0:
             raise ValueError("horizon and decision_dt must be > 0")
         n = self.horizon / self.decision_dt
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("horizon must be an integer number of steps")
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9:
+            raise ValueError(
+                "horizon must be an integer multiple of decision_dt")
         if min(self.eta, self.kappa, self.fee_bps) < 0:
             raise ValueError("eta, kappa and fee_bps must be >= 0")
         if self.action_set not in (ACTION_SET_RESTRICTED, ACTION_SET_FULL):
-            raise ValueError(f"unknown action set {self.action_set!r}")
+            raise ValueError(f"unknown action_set {self.action_set!r}")
         if self.history_window <= 0:
             raise ValueError("history_window must be > 0")
 

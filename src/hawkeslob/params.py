@@ -52,7 +52,7 @@ class KernelParams:
         if mu.ndim != 1 or mu.shape[0] < 1:
             raise ValueError("mu must be a nonempty vector")
         if np.any(mu < 0) or not np.all(np.isfinite(mu)):
-            raise ValueError("baseline intensities must be finite and >= 0")
+            raise ValueError("mu entries must be finite and >= 0")
         d = mu.shape[0]
         if self.kind == EXPONENTIAL:
             alpha = self._matrix("alpha", self.alpha, d)
@@ -89,7 +89,7 @@ class KernelParams:
             raise ValueError(f"{name} is required for this kernel kind")
         m = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
         if m.shape != (d, d):
-            raise ValueError(f"{name} must have shape ({d}, {d})")
+            raise ValueError(f"{name} must have shape ({d}, {d}) to match mu")
         if name.startswith("alpha") and np.any(m < 0):
             raise ValueError(f"{name} entries must be >= 0")
         if not np.all(np.isfinite(m)):

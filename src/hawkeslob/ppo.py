@@ -228,36 +228,44 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_sigmoid_pair(z: float) -> Tuple[float, float]:
+    """(log sigmoid(z), log sigmoid(-z)) of one float, by the branches of
+    ``_log_sigmoid``."""
+    softplus = math.log1p(math.exp(-abs(z)))
+    if z >= 0:
+        return -softplus, -z - softplus
+    return z - softplus, -softplus
+
+
 def act(nets: PolicyNets, features: np.ndarray, mask: np.ndarray,
         rng: RandomStream) -> Tuple[int, int, float, float]:
     """Sample (decision, action index, joint log-prob, value estimate).
 
     ``mask`` is over the restricted action head. The decision uniform is
     drawn only when at least one action is admissible; the categorical
-    uniform only when intervening.
+    uniform only when intervening. The heads are computed on Python
+    floats, over the admissible actions only; ``_policy_forward`` is the
+    same arithmetic on batches.
     """
     z_d = float(nets.decision.forward(features)[0])
     value = float(nets.value.forward(features)[0])
-    logsig = float(_log_sigmoid(np.array([z_d]))[0])
-    logsig_neg = float(_log_sigmoid(np.array([-z_d]))[0])
-    if not mask.any():
+    logsig, logsig_neg = _log_sigmoid_pair(z_d)
+    allowed = [k for k, ok in enumerate(mask.tolist()) if ok]
+    if not allowed or rng.uniform() >= math.exp(logsig):
         return 0, -1, logsig_neg, value
-    p1 = math.exp(logsig)
-    decision = 1 if rng.uniform() < p1 else 0
-    if decision == 0:
-        return 0, -1, logsig_neg, value
-    logits = nets.action.forward(features).reshape(1, -1)
-    logp_a = masked_log_softmax(logits, mask.reshape(1, -1))[0]
-    probs = np.where(np.isfinite(logp_a), np.exp(logp_a), 0.0)
+    logits = nets.action.forward(features).tolist()
+    top = max(logits[k] for k in allowed)
+    shifted = [logits[k] - top for k in allowed]
+    log_z = math.log(sum(math.exp(s) for s in shifted))
     u = rng.uniform()
     acc = 0.0
-    a_idx = int(np.flatnonzero(mask)[-1])
-    for k in range(N_ACTIONS):
-        acc += probs[k]
+    pick = len(allowed) - 1
+    for i, s in enumerate(shifted):
+        acc += math.exp(s - log_z)
         if u <= acc:
-            a_idx = k
+            pick = i
             break
-    return 1, a_idx, logsig + float(logp_a[a_idx]), value
+    return 1, allowed[pick], logsig + (shifted[pick] - log_z), value
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ same generator drives every stochastic component in the package (thinning,
 queue redraws, state sampling, policy sampling, minibatch shuffles), which
 makes whole runs reproducible from a single integer seed and bit-identical
 across the numba and numpy backends.
+
+The stream's state is the generator's four words, in the layout the
+backend computes fastest on: a ``uint64[4]`` array under numba, a list of
+four Python ints on the numpy backend. Every intermediate stays below
+2**49, so both layouts give the same draws.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels as _k
+from .backend import USE_NUMBA
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -40,10 +46,11 @@ class RandomStream:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = np.empty(4, dtype=np.uint64)
+        # numba compiles uint64 arrays; plain Python runs fastest on ints.
+        self.state = np.empty(4, np.uint64) if USE_NUMBA else [0, 0, 0, 0]
         seed = seed & _MASK64
-        _k.rng_seed(self.state, np.uint64(seed & _MASK32),
-                    np.uint64(seed >> 32))
+        _k.rng_seed(self.state, _k._U64(seed & _MASK32),
+                    _k._U64(seed >> 32))
 
     def uniform(self) -> float:
         """Uniform in (0, 1]."""
@@ -66,11 +73,11 @@ class RandomStream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        idx = np.arange(n, dtype=np.int64)
+        idx = list(range(n))
         for i in range(n - 1, 0, -1):
             j = self.integer(i + 1)
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int64)
 
     def spawn(self, *keys: int) -> "RandomStream":
         """Independent child stream keyed by ``keys``."""

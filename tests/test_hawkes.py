@@ -39,11 +39,9 @@ def exp_compensator(params: KernelParams, times, t: float) -> float:
     mu = float(params.mu[0])
     a = float(params.alpha[0, 0])
     g = float(params.gamma[0, 0])
-    total = mu * t
-    for s in times:
-        if s < t:
-            total += (a / g) * (1.0 - math.exp(-g * (t - s)))
-    return total
+    past = np.asarray(times)
+    past = past[past < t]
+    return mu * t + (a / g) * float(np.sum(1.0 - np.exp(-g * (t - past))))
 
 
 class TestIntensity:
