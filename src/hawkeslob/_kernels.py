@@ -33,19 +33,32 @@ kernel::
     kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts, log_t, log_e
 
 ``HawkesClock`` builds it once as ``clock.state``, and callers pass
-``*clock.state``. ``clock_f`` is ``float64[4]`` (now, excitation anchor
+``*clock.state``. ``clock_f`` holds four floats (now, excitation anchor
 time, pending thinning candidate time or nan, thinning bound or nan).
 The thinning bound is carried from one proposal to the next: it is the
 total intensity at ``now`` as the last proposal left it, which a pending
 candidate was drawn with, and nan when it must be evaluated afresh (see
-``next_event``). ``clock_i`` is ``int64[2]`` (event-log write position,
-event-log size).
-The newest log entry holds the last event time.
+``next_event``). ``clock_i`` holds two ints (event-log write position,
+event-log size) and ``counts`` one int per type. The event log
+``log_t`` / ``log_e`` is ``float64`` / ``int64`` arrays; the newest entry
+holds the last event time.
 
-The parameter arrays ``a1``, ``a2``, ``a3`` are ``float64`` rank 2 for
-both kinds (``KernelParams.kernel_args`` builds them):
+Like the RNG state, the rest of the block takes the layout its backend
+indexes fastest, and the kernels read it only by ``x[i]`` / ``x[i][k]``
+and ``len``. Under numba, ``mu``, ``exc``, ``clock_f``, ``clock_i``,
+``counts`` and the tables are ``float64`` / ``int64`` arrays. On the
+numpy backend they are lists of Python floats and ints, nested for the
+rank-2 ones, where numpy scalar indexing would cost more than the
+arithmetic (``KernelParams.clock_args`` builds the tables). The event log
+is an array on both backends, because the power-law sum reads it as one
+array expression; for the same reason the power-law tables stay arrays.
+Every sum runs in the same order in both layouts, so they give the same
+bits.
 
-* exponential (kind 0): decay-grouped. ``exc`` is ``float64[d, m]``, where
+The tables ``a1``, ``a2``, ``a3`` are rank 2 for both kinds
+(``KernelParams.kernel_args`` builds them as ``float64`` arrays):
+
+* exponential (kind 0): decay-grouped. ``exc`` is ``[d, m]``, where
   slot k of row i holds the excitation, at the anchor time, from every
   source whose decay is row i's k-th distinct decay; only sources with
   alpha_ij != 0 count. m is 1 for row-constant decay, at most d, and 0
@@ -238,27 +251,32 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     and the oldest kept entry is within ``horizon``, since overwritten
     events would be missing.
     """
-    d = mu.shape[0]
+    d = len(mu)
     total = 0.0
     if kind == KIND_EXP:
-        m = exc.shape[1]
+        m = len(exc[0])
         dt = t - clock_f[CK_ANCHOR]
         for i in range(d):
             s = mu[i]
+            exc_i = exc[i]
+            a2_i = a2[i]
             for k in range(m):
-                e = exc[i, k]
+                e = exc_i[k]
                 if e != 0.0:
-                    s += e * math.exp(-a2[i, k] * dt)
+                    s += e * math.exp(-a2_i[k] * dt)
             out[i] = s
             total += s
     else:
-        cap = log_t.shape[0]
+        cap = len(log_t)
         log_next = clock_i[CK_LOG_NEXT]
         full = clock_i[CK_LOG_SIZE] == cap
-        if (full and counts.sum() > cap
-                and t - log_t[log_next] <= horizon):
-            raise ValueError("event log wrapped within the power-law "
-                             "horizon; raise log_capacity")
+        if full:
+            n_logged = 0
+            for c in counts:
+                n_logged += c
+            if n_logged > cap and t - log_t[log_next] <= horizon:
+                raise ValueError("event log wrapped within the power-law "
+                                 "horizon; raise log_capacity")
         # The kept entries, oldest first: a run ending at the newest entry.
         # In a full log it may start in the older slice [log_next, cap),
         # and then it takes all of the newer slice [0, log_next).
@@ -272,7 +290,7 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
         else:
             kept_t = log_t[lo:log_next]
             kept_e = log_e[lo:log_next]
-        n = kept_t.shape[0]
+        n = len(kept_t)
         age = (t - kept_t).reshape((n, 1))
         # Row k of these [n, d] arrays is what entry k adds to each type.
         # Only pairs with alpha != 0 take the power (flattened, so the
@@ -288,8 +306,9 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
         # log order.
         excitation = terms.reshape((n, d)).sum(axis=0)
         for i in range(d):
-            out[i] = mu[i] + excitation[i]
-            total += out[i]
+            s = mu[i] + float(excitation[i])
+            out[i] = s
+            total += s
     return total
 
 
@@ -303,20 +322,22 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     ``a1[i, j_ev*m : (j_ev+1)*m]`` are added to row i's slots; this
     single-decay bookkeeping keeps the state independent of query history.
     """
-    d = counts.shape[0]
     if kind == KIND_EXP:
-        m = exc.shape[1]
+        m = len(exc[0])
         dt = t_ev - clock_f[CK_ANCHOR]
         col = j_ev * m
-        for i in range(d):
+        for i in range(len(counts)):
+            exc_i = exc[i]
+            a1_i = a1[i]
+            a2_i = a2[i]
             for k in range(m):
-                e = exc[i, k]
+                e = exc_i[k]
                 if e != 0.0:
-                    e *= math.exp(-a2[i, k] * dt)
-                exc[i, k] = e + a1[i, col + k]
+                    e *= math.exp(-a2_i[k] * dt)
+                exc_i[k] = e + a1_i[col + k]
     clock_f[CK_ANCHOR] = t_ev
     counts[j_ev] += 1
-    cap = log_t.shape[0]
+    cap = len(log_t)
     pos = clock_i[CK_LOG_NEXT]
     log_t[pos] = t_ev
     log_e[pos] = j_ev
@@ -330,16 +351,17 @@ def _jump(kind, a1, exc, j):
     """Total intensity an event of type ``j`` adds at age 0: the column
     sum of ``a1`` over j's m slots (exponential) or column j (power-law)."""
     if kind == KIND_EXP:
-        lo = j * exc.shape[1]
-        hi = lo + exc.shape[1]
+        lo = j * len(exc[0])
+        hi = lo + len(exc[0])
     else:
         lo = j
         hi = j + 1
     s = 0.0
-    for i in range(a1.shape[0]):
+    for i in range(len(a1)):
+        a1_i = a1[i]
         for c in range(lo, hi):
-            s += a1[i, c]
-    return s
+            s += a1_i[c]
+    return float(s)
 
 
 @njit
@@ -397,8 +419,8 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
         clock_f[CK_BOUND] = lam_tot
         if v <= lam_tot:
             acc = 0.0
-            j_ev = counts.shape[0] - 1
-            for i in range(counts.shape[0]):
+            j_ev = len(counts) - 1
+            for i in range(len(counts)):
                 acc += lam_buf[i]
                 if v <= acc:
                     j_ev = i
@@ -414,7 +436,7 @@ def hawkes_simulate(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                     counts, log_t, log_e, rng, t_max, lam_buf, out_t, out_e):
     """Sample events up to ``t_max`` into ``out_t`` / ``out_e``; returns
     ``(count, overflow)``, overflow = 1 when the buffers filled first."""
-    cap = out_t.shape[0]
+    cap = len(out_t)
     n = 0
     while True:
         if n >= cap:
@@ -433,9 +455,9 @@ def hawkes_simulate(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
 def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, window, out):
     """Per-type event counts over [now - window, now]."""
-    for i in range(out.shape[0]):
+    for i in range(len(out)):
         out[i] = 0
-    cap = log_t.shape[0]
+    cap = len(log_t)
     now = clock_f[CK_NOW]
     log_next = clock_i[CK_LOG_NEXT]
     for k in range(clock_i[CK_LOG_SIZE]):

@@ -186,6 +186,12 @@ class BookInitConfig:
         for name in ("spread_geom_p", "redraw_geom_p"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
+        if not self.tick > 0.0:
+            raise ValueError(f"tick must be > 0, got {self.tick}")
+        for name in ("p_mid_var", "inventory_std"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -64,6 +64,10 @@ class EpisodeConfig:
         if not math.isfinite(n) or abs(n - round(n)) > 1e-9:
             raise ValueError(
                 "horizon must be an integer multiple of decision_dt")
+        if self.n_steps < 1:
+            raise ValueError(
+                f"horizon {self.horizon} is shorter than decision_dt "
+                f"{self.decision_dt}: an episode needs one decision")
         if min(self.eta, self.kappa, self.fee_bps) < 0:
             raise ValueError("eta, kappa and fee_bps must be >= 0")
         if self.action_set not in (ACTION_SET_RESTRICTED, ACTION_SET_FULL):

@@ -17,6 +17,16 @@ intensity once; ``apply_event`` resets it. Each accepted event is
 registered on the clock by the same kernel step (``_kernels.next_event``)
 that samples it. An unconsumed proposal crossing the horizon is kept as
 a pending candidate so chunked simulation replays the identical stream.
+
+The state's layout follows the backend, as the random stream's does.
+Under numba the excitation, the float and int clock slots, the per-type
+counts and the parameter tables are arrays. On the numpy backend they are
+lists of Python floats and ints (nested for ``exc`` and the exponential
+tables), which plain Python indexes faster than numpy scalars. The event
+log (``log_t``, ``log_e``) and the power-law tables are numpy arrays on
+both, since the power-law sum reads them as one array expression. Every
+sum runs in the same order either way, so both layouts give the same
+bits.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as _k
+from .backend import USE_NUMBA
 from .events import EventType
 from .params import KernelParams
 from .rng import RandomStream
@@ -44,16 +55,27 @@ class HawkesClock:
             raise ValueError("log_capacity too small")
         self.params = params
         d = params.n_types
-        self.exc = np.zeros((d, params.n_slots))
-        self.counts = np.zeros(d, dtype=np.int64)
-        self.clock_f = np.array([t0, t0, np.nan, np.nan])
-        self.clock_i = np.zeros(2, dtype=np.int64)
+        m = params.n_slots
+        t0 = float(t0)
+        # numba compiles arrays; plain Python indexes lists of floats and
+        # ints fastest. The event log is numpy on both (see ``_kernels``).
+        if USE_NUMBA:
+            exc = np.zeros((d, m))
+            self.clock_f = np.array([t0, t0, np.nan, np.nan])
+            self.clock_i = np.zeros(2, dtype=np.int64)
+            self.counts = np.zeros(d, dtype=np.int64)
+            self.lam_buf = np.empty(d)
+        else:
+            exc = [[0.0] * m for _ in range(d)]
+            self.clock_f = [t0, t0, np.nan, np.nan]
+            self.clock_i = [0, 0]
+            self.counts = [0] * d
+            self.lam_buf = [0.0] * d
         self.log_t = np.zeros(log_capacity)
         self.log_e = np.zeros(log_capacity, dtype=np.int64)
         # The clock kernels' leading argument block (see ``_kernels``).
-        self.state = (*params.kernel_args, self.exc, self.clock_f,
-                      self.clock_i, self.counts, self.log_t, self.log_e)
-        self.lam_buf = np.empty(d)
+        self.state = (*params.clock_args, exc, self.clock_f, self.clock_i,
+                      self.counts, self.log_t, self.log_e)
 
     # -- state views --------------------------------------------------------
 
@@ -62,8 +84,13 @@ class HawkesClock:
         return float(self.clock_f[_k.CK_NOW])
 
     @property
+    def exc(self) -> np.ndarray:
+        """The exponential excitation state as a ``(d, m)`` array (a copy)."""
+        return np.array(self.state[6], dtype=np.float64)
+
+    @property
     def n_events(self) -> int:
-        return int(self.counts.sum())
+        return int(sum(self.counts))
 
     # -- queries -------------------------------------------------------------
 
@@ -111,6 +138,7 @@ class HawkesClock:
             raise IndexError(f"event type index {i} out of range")
         if t < self.now:
             raise ValueError(f"event time {t} precedes clock.now={self.now}")
+        t = float(t)
         _k.register_event(*self.state, t, i)
         self.clock_f[_k.CK_NOW] = t
         self.clock_f[_k.CK_PEND_T] = np.nan
@@ -118,6 +146,7 @@ class HawkesClock:
 
     def sample_next_event(self, t_max: float, rng: RandomStream):
         """Next event by thinning, applied to the clock; None past t_max."""
+        t_max = float(t_max)
         if t_max < self.now:
             raise ValueError(f"t_max={t_max} precedes clock.now={self.now}")
         t_ev, j_ev = _k.next_event(*self.state, rng.state, t_max,
@@ -128,6 +157,7 @@ class HawkesClock:
 
     def simulate(self, t_max: float, rng: RandomStream):
         """All events up to ``t_max``; returns (times, types) arrays."""
+        t_max = float(t_max)
         if t_max < self.now:
             raise ValueError(f"t_max={t_max} precedes clock.now={self.now}")
         times = []

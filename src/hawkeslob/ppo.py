@@ -125,6 +125,10 @@ def build_normalizer(kernel_params: KernelParams, config: EpisodeConfig,
     return center, scale
 
 
+# Version of the ``PolicyNets.to_dict`` layout, written to every checkpoint.
+CHECKPOINT_FORMAT = 1
+
+
 class PolicyNets:
     """Decision, action and value networks plus the feature map."""
 
@@ -161,6 +165,7 @@ class PolicyNets:
 
     def to_dict(self) -> dict:
         return {
+            "format": CHECKPOINT_FORMAT,
             "decision": self.decision.to_dict(),
             "action": self.action.to_dict(),
             "value": self.value.to_dict(),
@@ -171,8 +176,14 @@ class PolicyNets:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PolicyNets":
-        """Rebuild from ``to_dict`` output; ValueError on a layout that does
-        not fit the observation vector or the policy heads."""
+        """Rebuild from ``to_dict`` output; ValueError on a format version
+        other than ``CHECKPOINT_FORMAT`` (a file without one predates
+        versioning and loads) or a layout that does not fit the observation
+        vector or the policy heads."""
+        version = doc.get("format", CHECKPOINT_FORMAT)
+        if version != CHECKPOINT_FORMAT:
+            raise ValueError(f"checkpoint format {version!r} is not "
+                             f"supported; expected {CHECKPOINT_FORMAT}")
         nets = cls.__new__(cls)
         for name, head in _HEADS.items():
             net = DenseNet.from_dict(doc[name])
