@@ -13,7 +13,7 @@ if "numpy" not in sys.modules:
                  "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
-from .backend import BACKEND, USE_NUMBA
+from .backend import BACKEND
 from .book import (AgentBookState, BookInitConfig, BookState, FillReport,
                    QueueRedrawPolicy, apply_event, mark_to_market)
 from .env import (EpisodeConfig, MarketMakingEnv, Observation,
@@ -30,7 +30,7 @@ __all__ = [
     "AgentBookState", "BACKEND", "BookInitConfig", "BookState",
     "EpisodeConfig", "EventType", "FillReport", "HawkesClock", "Impulse",
     "KernelParams", "MarketMakingEnv", "Observation", "QueueRedrawPolicy",
-    "RESTRICTED_IMPULSES", "RandomStream", "RewardBreakdown", "USE_NUMBA",
+    "RESTRICTED_IMPULSES", "RandomStream", "RewardBreakdown",
     "admissible", "admissible_mask", "apply_event", "apply_impulse",
     "default_kernel_params", "derive_seed", "mark_to_market",
 ]

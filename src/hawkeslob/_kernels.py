@@ -1,21 +1,17 @@
-"""Hot numerical kernels shared by the numba and numpy backends.
+"""Hot numerical kernels, in plain Python.
 
-Every function here is written against the common subset of plain Python
-and numba's nopython mode (numpy arrays, scalars, ``math.*``) and is
-decorated with the :func:`hawkeslob.backend.njit` shim, so both backends
-execute the same source. All transcendental calls go through ``math`` so
-both paths hit the same libm and produce bit-identical streams.
+The kernels run on lists of Python floats and ints, which plain Python
+indexes faster than numpy scalars, and use numpy only where one array
+expression replaces a loop (the power-law sum). Transcendental calls go
+through ``math`` (libm).
 
 Conventions
 -----------
-RNG state is four words of a KISS-style generator (two 16-bit-lane
-multiply-with-carry streams, a 32-bit xorshift and a 32-bit LCG): a
-``uint64[4]`` array under numba, and a list of four Python ints on the
-numpy backend, where Python int arithmetic is faster than numpy ``uint64``
-scalars (``RandomStream`` builds the matching layout).
-All arithmetic keeps intermediate values below 2**49, so nothing ever
-wraps: both layouts give the same bits, and numpy's scalar overflow
-warnings never fire.
+RNG state is a list of the four words of a KISS-style generator (two
+16-bit-lane multiply-with-carry streams, a 32-bit xorshift and a 32-bit
+LCG), as ``RandomStream`` builds it. All arithmetic keeps intermediate
+values below 2**49, so the words give the same bits as the generator on
+``uint64`` words would (``tests/test_rng_layout.py``).
 
 Book state is ``int64[9]``::
 
@@ -43,20 +39,16 @@ event-log size) and ``counts`` one int per type. The event log
 ``log_t`` / ``log_e`` is ``float64`` / ``int64`` arrays; the newest entry
 holds the last event time.
 
-Like the RNG state, the rest of the block takes the layout its backend
-indexes fastest, and the kernels read it only by ``x[i]`` / ``x[i][k]``
-and ``len``. Under numba, ``mu``, ``exc``, ``clock_f``, ``clock_i``,
-``counts`` and the tables are ``float64`` / ``int64`` arrays. On the
-numpy backend they are lists of Python floats and ints, nested for the
-rank-2 ones, where numpy scalar indexing would cost more than the
-arithmetic (``KernelParams.clock_args`` builds the tables). The event log
-is an array on both backends, because the power-law sum reads it as one
-array expression; for the same reason the power-law tables stay arrays.
-Every sum runs in the same order in both layouts, so they give the same
-bits.
+``mu``, ``exc``, ``clock_f``, ``clock_i``, ``counts`` and the
+exponential tables are lists of Python floats and ints, nested for the
+rank-2 ones (``KernelParams.clock_args`` builds the tables). The event
+log and the power-law tables are numpy arrays, because the power-law sum
+reads them as one array expression. The kernels read the block only by
+``x[i]`` / ``x[i][k]`` and ``len``, so an all-array block gives the same
+bits (``tests/test_clock_layout.py`` keeps that as a reference check).
 
-The tables ``a1``, ``a2``, ``a3`` are rank 2 for both kinds
-(``KernelParams.kernel_args`` builds them as ``float64`` arrays):
+The tables ``a1``, ``a2``, ``a3`` are rank 2 for both kinds (lists of
+lists for exponential kernels, ``float64`` arrays for power-law ones):
 
 * exponential (kind 0): decay-grouped. ``exc`` is ``[d, m]``, where
   slot k of row i holds the excitation, at the anchor time, from every
@@ -73,11 +65,12 @@ The tables ``a1``, ``a2``, ``a3`` are rank 2 for both kinds
 
 Event step: ``next_event`` samples the next event by thinning and
 registers it on the clock, so every sampling loop shares one step and
-differs only in what it keeps. ``hawkes_simulate`` keeps event times and
-types; ``advance_interval`` applies each event to the book and keeps only
-the agent's fill price per side in a two-slot ``fill_px`` (nan when that
-side did not fill). A fill removes the agent's order and only an impulse
-places one, so a side fills at most once per decision interval.
+differs only in what it keeps. ``HawkesClock.simulate`` keeps event
+times and types; ``advance_interval`` applies each event to the book and
+keeps only the agent's fill price per side in a two-slot ``fill_px``
+(nan when that side did not fill). A fill removes the agent's order and
+only an impulse places one, so a side fills at most once per decision
+interval.
 
 Randomness draw discipline (transition functions); the order is part of
 the replay contract. ``exogenous_draws`` and ``impulse_draws`` are its one
@@ -96,7 +89,6 @@ import math
 
 import numpy as np
 
-from .backend import USE_NUMBA, njit
 from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
                      KIND_CO_D, KIND_CO_T, KIND_IS, KIND_LO_D, KIND_LO_T,
                      KIND_MO)
@@ -115,44 +107,37 @@ KIND_POWERLAW = 1
 # that is still rounding; anything larger raises in ``next_event``.
 BOUND_RTOL = 1e-12
 
-_U64 = np.uint64 if USE_NUMBA else int
-_M16 = _U64(0xFFFF)
-_M32 = _U64(0xFFFFFFFF)
-_S5 = _U64(5)
-_S6 = _U64(6)
-_S13 = _U64(13)
-_S16 = _U64(16)
-_S17 = _U64(17)
-_A_Z = _U64(36969)
-_A_W = _U64(18000)
-_LCG_A = _U64(69069)
-_LCG_C = _U64(1234567)
+_M16 = 0xFFFF
+_M32 = 0xFFFFFFFF
+_A_Z = 36969
+_A_W = 18000
+_LCG_A = 69069
+_LCG_C = 1234567
 _TWO26 = 67108864.0
 _INV53 = 1.0 / 9007199254740992.0
 _TWO_PI = 6.283185307179586
 
-_SEED_C1 = _U64(0x9E3779B9)
-_SEED_C2 = _U64(0x85EBCA6B)
-_SEED_C3 = _U64(0xC2B2AE35)
-_SEED_C4 = _U64(0x27D4EB2F)
+_SEED_C1 = 0x9E3779B9
+_SEED_C2 = 0x85EBCA6B
+_SEED_C3 = 0xC2B2AE35
+_SEED_C4 = 0x27D4EB2F
 
 
 # ---------------------------------------------------------------------------
 # RNG
 # ---------------------------------------------------------------------------
 
-@njit
 def _rng_next32(st):
     z = st[0]
     w = st[1]
     jsr = st[2]
     jcong = st[3]
-    z = _A_Z * (z & _M16) + (z >> _S16)
-    w = _A_W * (w & _M16) + (w >> _S16)
-    mwc = (((z & _M32) << _S16) + w) & _M32
-    jsr = (jsr ^ ((jsr << _S17) & _M32)) & _M32
-    jsr = jsr ^ (jsr >> _S13)
-    jsr = (jsr ^ ((jsr << _S5) & _M32)) & _M32
+    z = _A_Z * (z & _M16) + (z >> 16)
+    w = _A_W * (w & _M16) + (w >> 16)
+    mwc = (((z & _M32) << 16) + w) & _M32
+    jsr = (jsr ^ ((jsr << 17) & _M32)) & _M32
+    jsr = jsr ^ (jsr >> 13)
+    jsr = (jsr ^ ((jsr << 5) & _M32)) & _M32
     jcong = (_LCG_A * jcong + _LCG_C) & _M32
     st[0] = z
     st[1] = w
@@ -161,27 +146,25 @@ def _rng_next32(st):
     return ((mwc ^ jcong) + jsr) & _M32
 
 
-@njit
 def _wash32(x):
     for _ in range(3):
         x = (_LCG_A * x + _LCG_C) & _M32
-        x = x ^ (x >> _S13)
-        x = (x ^ ((x << _S17) & _M32)) & _M32
+        x = x ^ (x >> 13)
+        x = (x ^ ((x << 17) & _M32)) & _M32
     return x
 
 
-@njit
 def rng_seed(st, lo, hi):
     """Initialise RNG state from two 32-bit seed halves."""
     z = _wash32(lo ^ _SEED_C1)
     w = _wash32(hi ^ _SEED_C2)
     jsr = _wash32(lo ^ hi ^ _SEED_C3)
     jcong = _wash32(((lo + hi) & _M32) ^ _SEED_C4)
-    if z == _U64(0):
+    if z == 0:
         z = _SEED_C1
-    if w == _U64(0):
+    if w == 0:
         w = _SEED_C2
-    if jsr == _U64(0):
+    if jsr == 0:
         jsr = _SEED_C3
     st[0] = z
     st[1] = w
@@ -191,22 +174,19 @@ def rng_seed(st, lo, hi):
         _rng_next32(st)
 
 
-@njit
 def rng_uniform(st):
     """Uniform draw in (0, 1] with 53 random bits."""
-    hi = _rng_next32(st) >> _S5
-    lo = _rng_next32(st) >> _S6
+    hi = _rng_next32(st) >> 5
+    lo = _rng_next32(st) >> 6
     return (float(hi) * _TWO26 + float(lo) + 1.0) * _INV53
 
 
-@njit
 def rng_normal(st):
     u1 = rng_uniform(st)
     u2 = rng_uniform(st)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
 
 
-@njit
 def rng_geometric(st, p):
     """Number of failures before the first success, support {0, 1, ...}."""
     u = rng_uniform(st)
@@ -217,7 +197,6 @@ def rng_geometric(st, p):
 # Hawkes intensities
 # ---------------------------------------------------------------------------
 
-@njit
 def _first_within(log_t, lo, hi, t, horizon):
     """First index k in the time-sorted run ``log_t[lo:hi]`` with
     ``t - log_t[k] <= horizon``, or ``hi`` when there is none.
@@ -234,7 +213,6 @@ def _first_within(log_t, lo, hi, t, horizon):
     return k
 
 
-@njit
 def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, t, out):
     """Fill ``out`` with per-type intensities at time ``t``; return total.
@@ -294,9 +272,8 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
         age = (t - kept_t).reshape((n, 1))
         # Row k of these [n, d] arrays is what entry k adds to each type.
         # Only pairs with alpha != 0 take the power (flattened, so the
-        # mask is 1-d). ``float_power`` is libm's ``pow`` on both backends,
-        # where numpy's ``**`` may use SIMD code that differs in the last
-        # bit.
+        # mask is 1-d). ``float_power`` is libm's ``pow``, where numpy's
+        # ``**`` may use SIMD code that differs in the last bit.
         terms = a1.T[kept_e].ravel()
         base = (1.0 + age / a3.T[kept_e]).ravel()
         expo = a2.T[kept_e].ravel()
@@ -312,7 +289,6 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     return total
 
 
-@njit
 def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, t_ev, j_ev):
     """Apply an event of type ``j_ev`` at time ``t_ev`` to the clock state.
@@ -346,7 +322,6 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
         clock_i[CK_LOG_SIZE] += 1
 
 
-@njit
 def _jump(kind, a1, exc, j):
     """Total intensity an event of type ``j`` adds at age 0: the column
     sum of ``a1`` over j's m slots (exponential) or column j (power-law)."""
@@ -364,7 +339,6 @@ def _jump(kind, a1, exc, j):
     return float(s)
 
 
-@njit
 def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
                log_t, log_e, rng, t_max, lam_buf):
     """Ogata thinning step: sample the next event at or before ``t_max``
@@ -431,27 +405,6 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
             return t_cand, j_ev
 
 
-@njit
-def hawkes_simulate(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
-                    counts, log_t, log_e, rng, t_max, lam_buf, out_t, out_e):
-    """Sample events up to ``t_max`` into ``out_t`` / ``out_e``; returns
-    ``(count, overflow)``, overflow = 1 when the buffers filled first."""
-    cap = len(out_t)
-    n = 0
-    while True:
-        if n >= cap:
-            return n, 1
-        t_ev, j_ev = next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
-                                clock_i, counts, log_t, log_e, rng, t_max,
-                                lam_buf)
-        if j_ev < 0:
-            return n, 0
-        out_t[n] = t_ev
-        out_e[n] = j_ev
-        n += 1
-
-
-@njit
 def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, window, out):
     """Per-type event counts over [now - window, now]."""
@@ -471,7 +424,6 @@ def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
 # Book transitions
 # ---------------------------------------------------------------------------
 
-@njit
 def _side_slots(is_ask):
     """(top size, second-level size, agent priority) slots of one side."""
     if is_ask == 1:
@@ -479,7 +431,6 @@ def _side_slots(is_ask):
     return QB, QBD, NB
 
 
-@njit
 def _promote_resolved(book, is_ask, redraw_val):
     """Second level becomes best after the top queue empties."""
     if is_ask == 1:
@@ -492,7 +443,6 @@ def _promote_resolved(book, is_ask, redraw_val):
         book[QBD] = redraw_val
 
 
-@njit
 def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
                              hit, redraw_val):
     """Apply one exogenous event with all randomness resolved.
@@ -587,7 +537,6 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
     return fill
 
 
-@njit
 def exogenous_draws(book, act_kind, is_ask):
     """``(p_hit, redraw)`` of an exogenous event: a cancel-targeting
     uniform (drawn when ``p_hit`` > 0) hits with probability ``p_hit``,
@@ -609,7 +558,6 @@ def exogenous_draws(book, act_kind, is_ask):
     return 0.0, 0
 
 
-@njit
 def _sample_draws(rng, p_hit, redraw, redraw_p):
     """Resolve ``(p_hit, redraw)`` into ``(hit, redraw_val)``."""
     hit = 0
@@ -621,7 +569,6 @@ def _sample_draws(rng, p_hit, redraw, redraw_p):
     return hit, redraw_val
 
 
-@njit
 def apply_exogenous(book, cash, event, tick, redraw_p, rng):
     """Sample the event's randomness per the draw discipline, then apply."""
     act_kind = EVENT_KIND[event]
@@ -632,7 +579,6 @@ def apply_exogenous(book, cash, event, tick, redraw_p, rng):
                                     hit, redraw_val)
 
 
-@njit
 def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
     """Apply one agent impulse with randomness resolved; returns K (cash).
 
@@ -698,7 +644,6 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
     return k_cash
 
 
-@njit
 def impulse_draws(book, act_kind, is_ask):
     """``(p_hit, redraw)`` of an agent impulse; ``p_hit`` is always 0."""
     iq, iqd, inn = _side_slots(is_ask)
@@ -713,7 +658,6 @@ def impulse_draws(book, act_kind, is_ask):
     return 0.0, 0
 
 
-@njit
 def apply_impulse(book, cash, impulse, tick, redraw_p, rng):
     act_kind = IMPULSE_KIND[impulse]
     is_ask = IMPULSE_SIDE[impulse]
@@ -727,7 +671,6 @@ def apply_impulse(book, cash, impulse, tick, redraw_p, rng):
 # Coupled market advance (environment hot loop)
 # ---------------------------------------------------------------------------
 
-@njit
 def advance_interval(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                      counts, log_t, log_e, book, cash, tick, redraw_p, rng,
                      t_end, lam_buf, fill_px):

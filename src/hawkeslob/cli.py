@@ -248,7 +248,8 @@ def _cmd_sweep(args, app: AppConfig) -> int:
             grid = json.load(fh)
     rows = run_sweep(grid, app.episode, app.trainer, app.init,
                      seed=args.seed, eval_episodes=args.eval_episodes,
-                     out_csv=os.path.join(args.out_dir, "sweep.csv"))
+                     out_csv=os.path.join(args.out_dir, "sweep.csv"),
+                     kernel=app.kernel)
     print(f"{len(rows)} sweep cells written to "
           f"{os.path.join(args.out_dir, 'sweep.csv')}")
     return 0

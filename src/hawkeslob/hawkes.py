@@ -18,31 +18,26 @@ registered on the clock by the same kernel step (``_kernels.next_event``)
 that samples it. An unconsumed proposal crossing the horizon is kept as
 a pending candidate so chunked simulation replays the identical stream.
 
-The state's layout follows the backend, as the random stream's does.
-Under numba the excitation, the float and int clock slots, the per-type
-counts and the parameter tables are arrays. On the numpy backend they are
-lists of Python floats and ints (nested for ``exc`` and the exponential
-tables), which plain Python indexes faster than numpy scalars. The event
-log (``log_t``, ``log_e``) and the power-law tables are numpy arrays on
-both, since the power-law sum reads them as one array expression. Every
-sum runs in the same order either way, so both layouts give the same
-bits.
+The state is lists of Python floats and ints (nested for ``exc`` and the
+exponential tables), which plain Python indexes faster than numpy
+scalars. The event log (``log_t``, ``log_e``) and the power-law tables
+are numpy arrays, since the power-law sum reads them as one array
+expression.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels as _k
-from .backend import USE_NUMBA
 from .events import EventType
 from .params import KernelParams
 from .rng import RandomStream
 
 DEFAULT_LOG_CAPACITY = 1 << 16
-_SIM_CHUNK = 1 << 14  # events per hawkes_simulate call in simulate()
 
 
 class HawkesClock:
@@ -57,20 +52,11 @@ class HawkesClock:
         d = params.n_types
         m = params.n_slots
         t0 = float(t0)
-        # numba compiles arrays; plain Python indexes lists of floats and
-        # ints fastest. The event log is numpy on both (see ``_kernels``).
-        if USE_NUMBA:
-            exc = np.zeros((d, m))
-            self.clock_f = np.array([t0, t0, np.nan, np.nan])
-            self.clock_i = np.zeros(2, dtype=np.int64)
-            self.counts = np.zeros(d, dtype=np.int64)
-            self.lam_buf = np.empty(d)
-        else:
-            exc = [[0.0] * m for _ in range(d)]
-            self.clock_f = [t0, t0, np.nan, np.nan]
-            self.clock_i = [0, 0]
-            self.counts = [0] * d
-            self.lam_buf = [0.0] * d
+        exc = [[0.0] * m for _ in range(d)]
+        self.clock_f = [t0, t0, np.nan, np.nan]
+        self.clock_i = [0, 0]
+        self.counts = [0] * d
+        self.lam_buf = [0.0] * d
         self.log_t = np.zeros(log_capacity)
         self.log_e = np.zeros(log_capacity, dtype=np.int64)
         # The clock kernels' leading argument block (see ``_kernels``).
@@ -81,7 +67,7 @@ class HawkesClock:
 
     @property
     def now(self) -> float:
-        return float(self.clock_f[_k.CK_NOW])
+        return self.clock_f[_k.CK_NOW]
 
     @property
     def exc(self) -> np.ndarray:
@@ -90,15 +76,16 @@ class HawkesClock:
 
     @property
     def n_events(self) -> int:
-        return int(sum(self.counts))
+        return sum(self.counts)
 
     # -- queries -------------------------------------------------------------
 
     def intensities(self, t: Optional[float] = None) -> np.ndarray:
         """Per-type intensities at time ``t`` (default: now)."""
         t = self.now if t is None else float(t)
-        if t < self.now:
-            raise ValueError(f"t={t} precedes clock.now={self.now}")
+        if not t >= self.now:
+            raise ValueError(f"t={t} is not at or after "
+                             f"clock.now={self.now}")
         out = np.empty(self.params.n_types)
         _k.intensities_at(*self.state, t, out)
         return out
@@ -114,8 +101,8 @@ class HawkesClock:
         With no events yet, the counts are zero and the trailing entry is
         the window length.
         """
-        if window <= 0:
-            raise ValueError("window must be > 0")
+        if not window > 0:
+            raise ValueError(f"window must be > 0, got {window}")
         d = self.params.n_types
         out = np.empty(d + 1)
         cnt = np.empty(d, dtype=np.int64)
@@ -136,9 +123,10 @@ class HawkesClock:
         """
         if not 0 <= i < self.params.n_types:
             raise IndexError(f"event type index {i} out of range")
-        if t < self.now:
-            raise ValueError(f"event time {t} precedes clock.now={self.now}")
         t = float(t)
+        if not self.now <= t < math.inf:
+            raise ValueError(f"event time {t} is not finite and at or after "
+                             f"clock.now={self.now}")
         _k.register_event(*self.state, t, i)
         self.clock_f[_k.CK_NOW] = t
         self.clock_f[_k.CK_PEND_T] = np.nan
@@ -147,28 +135,28 @@ class HawkesClock:
     def sample_next_event(self, t_max: float, rng: RandomStream):
         """Next event by thinning, applied to the clock; None past t_max."""
         t_max = float(t_max)
-        if t_max < self.now:
-            raise ValueError(f"t_max={t_max} precedes clock.now={self.now}")
+        if not t_max >= self.now:
+            raise ValueError(f"t_max={t_max} is not at or after "
+                             f"clock.now={self.now}")
         t_ev, j_ev = _k.next_event(*self.state, rng.state, t_max,
                                    self.lam_buf)
         if j_ev < 0:
             return None
-        return float(t_ev), EventType(int(j_ev))
+        return t_ev, EventType(j_ev)
 
     def simulate(self, t_max: float, rng: RandomStream):
         """All events up to ``t_max``; returns (times, types) arrays."""
         t_max = float(t_max)
-        if t_max < self.now:
-            raise ValueError(f"t_max={t_max} precedes clock.now={self.now}")
+        if not self.now <= t_max < math.inf:
+            raise ValueError(f"t_max={t_max} is not finite and at or after "
+                             f"clock.now={self.now}")
         times = []
         types = []
-        out_t = np.empty(_SIM_CHUNK)
-        out_e = np.empty(_SIM_CHUNK, dtype=np.int64)
         while True:
-            n, overflow = _k.hawkes_simulate(*self.state, rng.state, t_max,
-                                             self.lam_buf, out_t, out_e)
-            times.append(out_t[:n].copy())
-            types.append(out_e[:n].copy())
-            if not overflow:
-                break
-        return np.concatenate(times), np.concatenate(types)
+            t_ev, j_ev = _k.next_event(*self.state, rng.state, t_max,
+                                       self.lam_buf)
+            if j_ev < 0:
+                return (np.array(times, dtype=np.float64),
+                        np.array(types, dtype=np.int64))
+            times.append(t_ev)
+            types.append(j_ev)

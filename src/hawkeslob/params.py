@@ -25,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from .backend import USE_NUMBA
 from .events import MIRROR_EVENT, N_EVENT_TYPES
 
 EXPONENTIAL = "exponential"
@@ -151,14 +150,12 @@ class KernelParams:
 
     @cached_property
     def clock_args(self):
-        """``kernel_args`` in the layout the backend indexes fastest, as
-        ``HawkesClock.state`` passes it: the arrays themselves under numba;
-        on the numpy backend ``mu`` and the exponential ``a1`` and ``a2`` as
-        (nested) lists of Python floats. The power-law tables stay arrays,
-        which the kernel fancy-indexes. Built once per parameter set.
+        """``kernel_args`` as ``HawkesClock.state`` passes it: ``mu`` and
+        the exponential ``a1`` and ``a2`` as (nested) lists of Python
+        floats, which the kernels index faster than arrays. The power-law
+        tables stay arrays, which the kernel fancy-indexes. Built once per
+        parameter set.
         """
-        if USE_NUMBA:
-            return self.kernel_args
         kind, mu, a1, a2, a3, horizon = self.kernel_args
         if kind == 0:
             a1, a2 = a1.tolist(), a2.tolist()

@@ -320,6 +320,8 @@ def dynkin_check(params: KernelParams, function: str = "intensity",
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     if function not in ("intensity", "count"):
         raise ValueError("function must be 'intensity' or 'count'")
     if not 0 <= type_index < params.n_types:

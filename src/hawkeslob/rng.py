@@ -3,13 +3,11 @@
 A thin wrapper over the KISS generator in :mod:`hawkeslob._kernels`. The
 same generator drives every stochastic component in the package (thinning,
 queue redraws, state sampling, policy sampling, minibatch shuffles), which
-makes whole runs reproducible from a single integer seed and bit-identical
-across the numba and numpy backends.
+makes whole runs reproducible from a single integer seed.
 
-The stream's state is the generator's four words, in the layout the
-backend computes fastest on: a ``uint64[4]`` array under numba, a list of
-four Python ints on the numpy backend. Every intermediate stays below
-2**49, so both layouts give the same draws.
+The stream's state is the generator's four words as a list of Python
+ints. Every intermediate stays below 2**49, so the draws are those of the
+generator on ``uint64`` words.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels as _k
-from .backend import USE_NUMBA
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -46,22 +43,20 @@ class RandomStream:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        # numba compiles uint64 arrays; plain Python runs fastest on ints.
-        self.state = np.empty(4, np.uint64) if USE_NUMBA else [0, 0, 0, 0]
+        self.state = [0, 0, 0, 0]
         seed = seed & _MASK64
-        _k.rng_seed(self.state, _k._U64(seed & _MASK32),
-                    _k._U64(seed >> 32))
+        _k.rng_seed(self.state, seed & _MASK32, seed >> 32)
 
     def uniform(self) -> float:
         """Uniform in (0, 1]."""
-        return float(_k.rng_uniform(self.state))
+        return _k.rng_uniform(self.state)
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return mean + std * float(_k.rng_normal(self.state))
+        return mean + std * _k.rng_normal(self.state)
 
     def geometric(self, p: float) -> int:
         """Failures before first success, support {0, 1, ...}."""
-        return int(_k.rng_geometric(self.state, p))
+        return _k.rng_geometric(self.state, p)
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -81,6 +76,6 @@ class RandomStream:
 
     def spawn(self, *keys: int) -> "RandomStream":
         """Independent child stream keyed by ``keys``."""
-        base = int(self.state[0]) ^ (int(self.state[1]) << 16) \
-            ^ (int(self.state[2]) << 32) ^ (int(self.state[3]) << 48)
+        z, w, jsr, jcong = self.state
+        base = z ^ (w << 16) ^ (jsr << 32) ^ (jcong << 48)
         return RandomStream(derive_seed(base, *keys))

@@ -2,12 +2,14 @@
 
 Grid axes: ``eta`` (inventory penalty), ``fee_bps`` (terminal fee),
 ``kernel`` (exponential | powerlaw), ``sil`` (true | false), ``ablation``
-(observation block zeroed in the trainer). Every cell trains a fresh
-agent and evaluates it out-of-sample with seeds matched across cells
-(derived from the base seed and the evaluation stream only), so cells
-differ by the swept parameters alone. Infeasible cells are recorded as
-failed rows (``failed: <exception class>: <message>``, on one line) and
-the sweep continues.
+(observation block zeroed in the trainer). A ``kernel`` axis value picks
+that profile's default kernel; without the axis every cell runs on the
+kernel passed to ``run_sweep`` (the config's kernel). Every cell trains a
+fresh agent and evaluates it out-of-sample with seeds matched across
+cells (derived from the base seed and the evaluation stream only), so
+cells differ by the swept parameters alone. Infeasible cells are recorded
+as failed rows (``failed: <exception class>: <message>``, on one line)
+and the sweep continues.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .book import BookInitConfig
 from .env import EpisodeConfig, MarketMakingEnv
 from .agents import CheckpointAgent
 from .metrics import evaluate_agent, write_csv
-from .params import default_kernel_params
+from .params import KernelParams, default_kernel_params
 from .ppo import TrainerConfig, train
 from .rng import RandomStream, derive_seed
 
@@ -60,9 +62,10 @@ def expand_grid(grid: Dict[str, Sequence]) -> List[SweepCell]:
     return cells
 
 
-def run_cell(cell: SweepCell, episode_config: EpisodeConfig,
-             trainer_config: TrainerConfig, init_config: BookInitConfig,
-             seed: int, eval_episodes: int) -> dict:
+def run_cell(cell: SweepCell, kernel: KernelParams,
+             episode_config: EpisodeConfig, trainer_config: TrainerConfig,
+             init_config: BookInitConfig, seed: int,
+             eval_episodes: int) -> dict:
     ep_cfg = episode_config
     tr_cfg = trainer_config
     if cell.eta is not None:
@@ -73,7 +76,8 @@ def run_cell(cell: SweepCell, episode_config: EpisodeConfig,
         tr_cfg = replace(tr_cfg, beta_sil=0.0)
     if cell.ablation is not None:
         tr_cfg = replace(tr_cfg, ablation=cell.ablation)
-    kernel = default_kernel_params(cell.kernel or "exponential")
+    if cell.kernel is not None:
+        kernel = default_kernel_params(cell.kernel)
 
     result = train(kernel, ep_cfg, tr_cfg,
                    seed=derive_seed(seed, 0x5CE11, cell.index))
@@ -95,7 +99,12 @@ def run_cell(cell: SweepCell, episode_config: EpisodeConfig,
 def run_sweep(grid: Dict[str, Sequence], episode_config: EpisodeConfig,
               trainer_config: TrainerConfig, init_config: BookInitConfig,
               seed: int, eval_episodes: int = 20,
-              out_csv: Optional[str] = None) -> List[dict]:
+              out_csv: Optional[str] = None,
+              kernel: Optional[KernelParams] = None) -> List[dict]:
+    """Run every cell of ``grid``; ``kernel`` defaults to the default
+    exponential kernel."""
+    if kernel is None:
+        kernel = default_kernel_params()
     cells = expand_grid(grid)
     rows: List[dict] = []
     for cell in cells:
@@ -103,7 +112,7 @@ def run_sweep(grid: Dict[str, Sequence], episode_config: EpisodeConfig,
         row.update((axis, getattr(cell, axis)) for axis in SWEEP_AXES
                    if getattr(cell, axis) is not None)
         try:
-            row.update(run_cell(cell, episode_config, trainer_config,
+            row.update(run_cell(cell, kernel, episode_config, trainer_config,
                                 init_config, seed, eval_episodes))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             message = " ".join(str(exc).split())

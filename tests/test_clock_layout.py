@@ -1,16 +1,16 @@
-"""The clock's per-backend state layout.
+"""The clock's state layout.
 
-On the numpy backend the clock state and the exponential tables are
-(nested) lists of Python floats and ints, which plain Python indexes
-faster than numpy arrays; under numba they are arrays. The same kernel
-source runs on both. Two checks stand in for a numba parity run:
+The clock state and the exponential tables are (nested) lists of Python
+floats and ints, which plain Python indexes faster than numpy arrays.
+Two checks pin that layout:
 
-* no numpy scalar leaks into the list layout, through the clock's own
-  methods or through an environment episode (one would not change a
-  result, only silently cost the speed);
-* the kernels give the same bits on a state built in numba's array layout
-  as on the list layout: event times and types, intensities, the clock
-  state and the random stream.
+* no numpy scalar leaks into the lists, through the clock's own methods
+  or through an environment episode (one would not change a result, only
+  silently cost the speed);
+* as a reference check, the kernels give the same bits on the list
+  layout as on a state built entirely of arrays, the layout the clock
+  used before it moved to lists: event times and types, intensities, the
+  clock state and the random stream.
 """
 
 import numpy as np
@@ -18,16 +18,12 @@ import pytest
 
 from hawkeslob import _kernels as _k
 from hawkeslob.agents import ProbabilisticAgent
-from hawkeslob.backend import USE_NUMBA
 from hawkeslob.env import EpisodeConfig, MarketMakingEnv
 from hawkeslob.hawkes import HawkesClock
 from hawkeslob.metrics import run_episode
 from hawkeslob.params import default_kernel_params
 from hawkeslob.rng import RandomStream
 from test_grouped_state import _mixed_params
-
-pytestmark = pytest.mark.skipif(
-    USE_NUMBA, reason="numba compiles the array layout only")
 
 KERNELS = {
     "exponential": default_kernel_params,
@@ -78,8 +74,8 @@ def test_env_episode_keeps_python_scalars():
 
 
 def _array_state(params, cap):
-    """A fresh clock state in the layout numba compiles: every part an
-    array, as ``HawkesClock`` builds it under numba."""
+    """A fresh clock state with every part an array: the tables from
+    ``kernel_args`` and array clock slots."""
     d, m = params.n_types, params.n_slots
     return (*params.kernel_args, np.zeros((d, m)),
             np.array([0.0, 0.0, np.nan, np.nan]), np.zeros(2, np.int64),
