@@ -4,6 +4,13 @@ Small batched numpy networks sized for the policy heads (binary decision
 logit, 4-way action logits) and the value head. Gradients returned by
 ``backward`` are exact sums over the batch of the upstream-weighted
 Jacobians; loss-level scaling (1/B etc.) belongs to the caller.
+
+A loss runs each net's forward pass once: ``forward`` can keep the input
+of every layer, and ``backward`` takes those in place of running the
+forward pass again. The activation's derivative is read off the kept
+activation (relu: a > 0, which is z > 0; tanh: 1 - a**2), so both routes
+give the same bits. Initial weights are one block of uniforms from the
+stream (``RandomStream.uniforms``), in row-major order.
 """
 
 from __future__ import annotations
@@ -27,11 +34,8 @@ Gradients = List[Tuple[np.ndarray, np.ndarray]]
 def _xavier_uniform(rng: RandomStream, fan_in: int, fan_out: int
                     ) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    w = np.empty((fan_in, fan_out))
-    for i in range(fan_in):
-        for j in range(fan_out):
-            w[i, j] = (2.0 * rng.uniform() - 1.0) * limit
-    return w
+    u = rng.uniforms(fan_in * fan_out).reshape(fan_in, fan_out)
+    return (2.0 * u - 1.0) * limit
 
 
 class DenseNet:
@@ -79,13 +83,20 @@ class DenseNet:
             return np.maximum(z, 0.0)
         return np.tanh(z)
 
-    def _act_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def _act_grad(self, a: np.ndarray) -> np.ndarray:
+        """Derivative of the activation where it output ``a``."""
         if self.activation == "relu":
-            return (z > 0.0).astype(np.float64)
+            return (a > 0.0).astype(np.float64)
         return 1.0 - a * a
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass; accepts (features,) or (batch, features)."""
+    def forward(self, x: np.ndarray, keep: Optional[list] = None
+                ) -> np.ndarray:
+        """Forward pass; accepts (features,) or (batch, features).
+
+        A list passed as ``keep`` receives the input of every layer: the
+        rows of ``x``, then each hidden activation. ``backward`` takes it
+        as ``acts``.
+        """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         h = x.reshape(1, -1) if single else x
@@ -93,32 +104,33 @@ class DenseNet:
             raise ValueError(
                 f"expected {self.layer_sizes[0]} features, got {h.shape[1]}")
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            if keep is not None:
+                keep.append(h)
             h = self._act(h @ w + b)
+        if keep is not None:
+            keep.append(h)
         out = h @ self.weights[-1] + self.biases[-1]
         return out[0] if single else out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray) -> Gradients:
+    def backward(self, x: np.ndarray, grad_out: np.ndarray,
+                 acts: Optional[list] = None) -> Gradients:
         """Exact reverse-mode parameter gradients for the given upstream.
 
         ``grad_out`` has the output's shape; the returned gradients are
-        sums over the batch.
+        sums over the batch. ``acts`` is the list that ``forward(x, keep)``
+        filled with the current weights; without it the forward pass runs
+        again.
         """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        h = x.reshape(1, -1) if single else x
+        if acts is None:
+            acts = []
+            self.forward(x, acts)
         g = np.asarray(grad_out, dtype=np.float64).reshape(
-            h.shape[0], self.layer_sizes[-1])
-        acts = [h]
-        pre = []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = acts[-1] @ w + b
-            pre.append(z)
-            acts.append(self._act(z))
+            acts[0].shape[0], self.layer_sizes[-1])
         grads: Gradients = [None] * len(self.weights)
         grads[-1] = (acts[-1].T @ g, g.sum(axis=0))
         for layer in range(len(self.weights) - 2, -1, -1):
             g = g @ self.weights[layer + 1].T
-            g = g * self._act_grad(pre[layer], acts[layer + 1])
+            g = g * self._act_grad(acts[layer + 1])
             grads[layer] = (acts[layer].T @ g, g.sum(axis=0))
         return grads
 

@@ -33,7 +33,7 @@ from .intervention import RESTRICTED_IDX
 from .metrics import EpisodeStats, run_episode, write_csv
 from .nn import HEAD_SIZES, DenseNet, Gradients
 from .params import KernelParams
-from .rng import RandomStream, derive_seed
+from .rng import RandomStream, derive_seed, draw_count
 
 N_ACTIONS = len(RESTRICTED_IMPULSES)
 SUB_MASK_IDX = np.array(RESTRICTED_IDX)
@@ -351,10 +351,16 @@ class SILBuffer:
             heapq.heappop(self._heap)
 
     def sample(self, rng: RandomStream, k: int) -> List[Transition]:
-        if not self._heap:
+        """``k`` entries drawn with replacement, each as ``rng.integer``
+        would pick it; the k uniforms are drawn as one block. An empty
+        buffer draws nothing."""
+        k = draw_count(k, "k")
+        heap = self._heap
+        if not heap:
             return []
-        return [self._heap[rng.integer(len(self._heap))][2]
-                for _ in range(k)]
+        n = len(heap)
+        picks = np.minimum((rng.uniforms(k) * n).astype(np.int64), n - 1)
+        return [heap[i][2] for i in picks.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +369,14 @@ class SILBuffer:
 
 def _policy_forward(nets: PolicyNets, feats: np.ndarray, decisions: np.ndarray,
                     actions: np.ndarray, masks: np.ndarray):
-    """Shared forward pieces for the PPO and SIL losses."""
-    z_d = nets.decision.forward(feats).ravel()
-    logits = nets.action.forward(feats)
+    """Shared forward pieces for the PPO and SIL losses.
+
+    The first two are the layer inputs of the decision and action nets,
+    which their ``backward`` takes; the last is the joint log-prob.
+    """
+    acts_d, acts_a = [], []
+    z_d = nets.decision.forward(feats, acts_d).ravel()
+    logits = nets.action.forward(feats, acts_a)
     logsig = _log_sigmoid(z_d)
     logsig_neg = _log_sigmoid(-z_d)
     p1 = np.exp(logsig)
@@ -376,11 +387,10 @@ def _policy_forward(nets: PolicyNets, feats: np.ndarray, decisions: np.ndarray,
     idx = np.where(took, np.maximum(actions, 0), 0)
     logp_sel = logp_a_safe[np.arange(len(feats)), idx]
     logp = np.where(took, logsig + logp_sel, logsig_neg)
-    return z_d, logits, p1, logsig, logsig_neg, p_a, logp_a_safe, logp
+    return acts_d, acts_a, p1, logsig, logsig_neg, p_a, logp_a_safe, logp
 
 
-def _policy_logp_grads(nets: PolicyNets, feats: np.ndarray,
-                       decisions: np.ndarray, actions: np.ndarray,
+def _policy_logp_grads(decisions: np.ndarray, actions: np.ndarray,
                        p1: np.ndarray, p_a: np.ndarray,
                        g_logp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Map d(loss)/d(logp) to decision-logit and action-logit gradients."""
@@ -413,7 +423,7 @@ def ppo_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],
     if n == 0:
         raise ValueError("empty batch")
 
-    z_d, logits, p1, logsig, logsig_neg, p_a, logp_a_safe, logp = \
+    acts_d, acts_a, p1, logsig, logsig_neg, p_a, logp_a_safe, logp = \
         _policy_forward(nets, feats, decisions, actions, masks)
     ratio = np.exp(logp - logp_old)
     if not np.all(np.isfinite(ratio)):
@@ -425,7 +435,8 @@ def ppo_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],
     surrogate = np.minimum(s1, s2)
     policy_loss = -surrogate.mean()
 
-    v = nets.value.forward(feats).ravel()
+    acts_v = []
+    v = nets.value.forward(feats, acts_v).ravel()
     value_err = ret - v
     value_loss = float((value_err ** 2).mean())
 
@@ -438,8 +449,8 @@ def ppo_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],
     # gradient of the clipped surrogate: active where min picks s1
     active = (s1 <= s2).astype(np.float64)
     g_logp = -(adv * ratio * active) / n
-    g_zd, g_logits = _policy_logp_grads(nets, feats, decisions, actions,
-                                        p1, p_a, g_logp)
+    g_zd, g_logits = _policy_logp_grads(decisions, actions, p1, p_a,
+                                        g_logp)
 
     # entropy bonus gradients
     beta = config.beta_entropy
@@ -452,9 +463,10 @@ def ppo_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],
     g_v = -2.0 * value_err / n
 
     grads = {
-        "decision": nets.decision.backward(feats, g_zd.reshape(-1, 1)),
-        "action": nets.action.backward(feats, g_logits),
-        "value": nets.value.backward(feats, g_v.reshape(-1, 1)),
+        "decision": nets.decision.backward(feats, g_zd.reshape(-1, 1),
+                                           acts_d),
+        "action": nets.action.backward(feats, g_logits, acts_a),
+        "value": nets.value.backward(feats, g_v.reshape(-1, 1), acts_v),
     }
     stats = {
         "policy_loss": float(policy_loss),
@@ -489,7 +501,7 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
     masks = np.stack([tr.mask for tr in entries])
     n = len(entries)
 
-    z_d, logits, p1, logsig, logsig_neg, p_a, logp_a_safe, logp = \
+    acts_d, acts_a, p1, logsig, logsig_neg, p_a, logp_a_safe, logp = \
         _policy_forward(nets, feats, decisions, actions, masks)
     v = nets.value.forward(feats).ravel()
     if config.sil_positive_part:
@@ -500,11 +512,12 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
     if not weight.any():
         return loss, empty
     g_logp = -weight / n
-    g_zd, g_logits = _policy_logp_grads(nets, feats, decisions, actions,
-                                        p1, p_a, g_logp)
+    g_zd, g_logits = _policy_logp_grads(decisions, actions, p1, p_a,
+                                        g_logp)
     grads = {
-        "decision": nets.decision.backward(feats, g_zd.reshape(-1, 1)),
-        "action": nets.action.backward(feats, g_logits),
+        "decision": nets.decision.backward(feats, g_zd.reshape(-1, 1),
+                                           acts_d),
+        "action": nets.action.backward(feats, g_logits, acts_a),
         "value": nets.value.zero_grads(),
     }
     return loss, grads

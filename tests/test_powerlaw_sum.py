@@ -2,7 +2,7 @@
 per-event loop it replaced, on the log layouts where the kept entries are
 hard to find: a wrapped ring buffer, an entry exactly ``pl_horizon`` old,
 an empty log and a log older than the horizon. Its bits are those of a
-scalar loop in a fixed order, which a compiled backend can reproduce."""
+scalar loop in a fixed order."""
 
 import math
 
@@ -140,8 +140,8 @@ def _oldest_first_libm_loop(clock, t):
 
 
 def test_bits_are_an_oldest_first_libm_loop():
-    """The fixed order the backends share: rows added oldest entry first,
-    each power from libm's ``pow`` (``math.pow``), zero alphas skipped."""
+    """The fixed order of the sum: rows added oldest entry first, each
+    power from libm's ``pow`` (``math.pow``), zero alphas skipped."""
     gen = np.random.default_rng(7)
     clock = _clock_with(np.cumsum(gen.exponential(0.3, 400)),
                         log_capacity=256, seed=7)

@@ -1,11 +1,10 @@
 """The KISS generator gives the same bits in every state layout.
 
 The reference below is the generator on numpy ``uint64`` scalars and a
-``uint64[4]`` state, the layout numba compiles. ``RandomStream`` keeps its
-state in whatever layout the installed backend runs fastest on (a list of
-Python ints on the numpy backend); every draw it makes must equal the
-reference bit for bit, and the kernels that take ``rng.state`` must accept
-it and advance it as the reference does.
+``uint64[4]`` state. ``RandomStream`` keeps its state as a list of four
+Python ints; every draw it makes must equal the reference bit for bit,
+and the kernels that take ``rng.state`` must accept it and advance it as
+the reference does.
 """
 
 import math
