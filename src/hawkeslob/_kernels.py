@@ -13,7 +13,7 @@ LCG), as ``RandomStream`` builds it. All arithmetic keeps intermediate
 values below 2**49, so the words give the same bits as the generator on
 ``uint64`` words would (``tests/test_rng_layout.py``).
 
-Book state is ``int64[9]``::
+Book state is a list of 9 Python ints, as ``book.pack_state`` builds it::
 
     0 PA  best ask price (ticks)     5 QBD  bid second-level size
     1 PB  best bid price (ticks)     6 NA   ask queue priority (-1 = none)
@@ -21,7 +21,12 @@ Book state is ``int64[9]``::
     3 QB  bid top size               8 Y    agent inventory
     4 QAD ask second-level size
 
-Cash is ``float64[1]`` (currency).
+Cash is a one-element list holding a Python float (currency). The event
+and impulse dispatch tables (``events.EVENT_KIND`` and the rest) are
+tuples of ints. The book kernels read the book only by ``x[i]``, so a
+book and cash held in numpy ``int64`` / ``float64`` arrays give the same
+bits (the transition tables of criterion 03 in
+``tests/test_acceptance.py`` are written on that layout).
 
 Clock state is one block of leading arguments, shared by every clock
 kernel::
@@ -407,8 +412,8 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
 
 def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, window, out):
-    """Per-type event counts over [now - window, now]."""
-    for i in range(len(out)):
+    """Per-type event counts over [now - window, now], into ``out[:d]``."""
+    for i in range(len(counts)):
         out[i] = 0
     cap = len(log_t)
     now = clock_f[CK_NOW]
@@ -520,11 +525,11 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
     fill = 0
     if n == 0:
         if is_ask == 1:
-            cash[0] += float(book[PA]) * tick
+            cash[0] += book[PA] * tick
             book[YINV] -= 1
             fill = 1
         else:
-            cash[0] -= float(book[PB]) * tick
+            cash[0] -= book[PB] * tick
             book[YINV] += 1
             fill = 2
         book[inn] = -1
@@ -546,12 +551,12 @@ def exogenous_draws(book, act_kind, is_ask):
     n = book[inn]
     if act_kind == KIND_CO_T:
         if q > 1 and 0 < n < q:
-            return float(n) / float(q), 0
+            return n / q, 0
         if q == 1 and n != 0:
             return 0.0, 1
     elif act_kind == KIND_CO_D:
         if book[iqd] > 1 and n > q:
-            return float(n - q) / float(book[iqd]), 0
+            return (n - q) / book[iqd], 0
     elif act_kind == KIND_MO:
         if q == 1:
             return 0.0, 1
@@ -627,11 +632,11 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
     # KIND_MO: consume one unit at the top of this side's queue.
     k_cash = 0.0
     if is_ask == 1:
-        k_cash = -float(book[PA]) * tick
+        k_cash = -book[PA] * tick
         cash[0] += k_cash
         book[YINV] += 1
     else:
-        k_cash = float(book[PB]) * tick
+        k_cash = book[PB] * tick
         cash[0] += k_cash
         book[YINV] -= 1
     n = book[inn]
@@ -683,8 +688,8 @@ def advance_interval(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     an impulse places a new one, so each side fills at most once between
     two decision instants.
     """
-    fill_px[0] = np.nan
-    fill_px[1] = np.nan
+    fill_px[0] = math.nan
+    fill_px[1] = math.nan
     while True:
         _, j_ev = next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
                              clock_i, counts, log_t, log_e, rng, t_end,
@@ -695,6 +700,6 @@ def advance_interval(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
         pb_pre = book[PB]
         fill = apply_exogenous(book, cash, j_ev, tick, redraw_p, rng)
         if fill == 1:
-            fill_px[0] = float(pa_pre) * tick
+            fill_px[0] = pa_pre * tick
         elif fill == 2:
-            fill_px[1] = float(pb_pre) * tick
+            fill_px[1] = pb_pre * tick

@@ -17,9 +17,7 @@ documented in :mod:`hawkeslob._kernels`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from . import _kernels as _k
 from .events import EventType
@@ -111,28 +109,27 @@ def check_invariants(book: BookState, agent: AgentBookState) -> None:
 
 
 def pack_state(book: BookState, agent: AgentBookState
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    arr = np.array([
-        book.p_ask_ticks, book.p_bid_ticks, book.q_ask, book.q_bid,
-        book.q_ask_d, book.q_bid_d,
-        -1 if agent.n_ask is None else agent.n_ask,
-        -1 if agent.n_bid is None else agent.n_bid,
-        agent.inventory,
-    ], dtype=np.int64)
-    cash = np.array([agent.cash])
-    return arr, cash
+               ) -> Tuple[List[int], List[float]]:
+    """The kernels' book state (9 Python ints) and cash (``[float]``);
+    layout in :mod:`hawkeslob._kernels`."""
+    arr = [book.p_ask_ticks, book.p_bid_ticks, book.q_ask, book.q_bid,
+           book.q_ask_d, book.q_bid_d,
+           -1 if agent.n_ask is None else agent.n_ask,
+           -1 if agent.n_bid is None else agent.n_bid,
+           agent.inventory]
+    return arr, [float(agent.cash)]
 
 
-def unpack_state(arr: np.ndarray, cash: np.ndarray, tick: float
+def unpack_state(arr: Sequence[int], cash: Sequence[float], tick: float
                  ) -> Tuple[BookState, AgentBookState]:
     book = BookState(
-        p_ask_ticks=int(arr[_k.PA]), p_bid_ticks=int(arr[_k.PB]),
-        q_ask=int(arr[_k.QA]), q_bid=int(arr[_k.QB]),
-        q_ask_d=int(arr[_k.QAD]), q_bid_d=int(arr[_k.QBD]), tick=tick)
+        p_ask_ticks=arr[_k.PA], p_bid_ticks=arr[_k.PB], q_ask=arr[_k.QA],
+        q_bid=arr[_k.QB], q_ask_d=arr[_k.QAD], q_bid_d=arr[_k.QBD],
+        tick=tick)
     agent = AgentBookState(
-        cash=float(cash[0]), inventory=int(arr[_k.YINV]),
-        n_ask=None if arr[_k.NA] < 0 else int(arr[_k.NA]),
-        n_bid=None if arr[_k.NB] < 0 else int(arr[_k.NB]))
+        cash=cash[0], inventory=arr[_k.YINV],
+        n_ask=None if arr[_k.NA] < 0 else arr[_k.NA],
+        n_bid=None if arr[_k.NB] < 0 else arr[_k.NB])
     return book, agent
 
 

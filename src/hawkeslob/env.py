@@ -166,7 +166,7 @@ class MarketMakingEnv:
         self.config = config
         self.init_config = init_config
         self.record_trace = record_trace
-        self._fill_px = np.empty(2)
+        self._fill_px = [math.nan, math.nan]
         self._done = True
         self._step_index = 0
 
@@ -203,7 +203,7 @@ class MarketMakingEnv:
         return unpack_state(self._book_arr, self._cash_arr, self._tick)
 
     def mark_to_market(self) -> float:
-        return float(self._cash_arr[0]) + self._inventory() * self._p_mid()
+        return self._cash_arr[0] + self._inventory() * self._p_mid()
 
     def admissible_mask(self) -> np.ndarray:
         return mask_arr(self._book_arr, self._impulses())
@@ -214,20 +214,20 @@ class MarketMakingEnv:
         return ALL_IDX
 
     def _inventory(self) -> int:
-        return int(self._book_arr[_k.YINV])
+        return self._book_arr[_k.YINV]
 
     def _p_mid(self) -> float:
-        return (int(self._book_arr[_k.PA]) + int(self._book_arr[_k.PB])) \
+        return (self._book_arr[_k.PA] + self._book_arr[_k.PB]) \
             * self._tick / 2.0
 
     def _observation(self) -> Observation:
         b = self._book_arr
         return Observation(
-            cash=float(self._cash_arr[0]),
+            cash=self._cash_arr[0],
             inventory=self._inventory(),
-            spread=(int(b[_k.PA]) - int(b[_k.PB])) * self._tick,
-            rel_pos_ask=_rel_pos(int(b[_k.NA]), int(b[_k.QA])),
-            rel_pos_bid=_rel_pos(int(b[_k.NB]), int(b[_k.QB])),
+            spread=(b[_k.PA] - b[_k.PB]) * self._tick,
+            rel_pos_ask=_rel_pos(b[_k.NA], b[_k.QA]),
+            rel_pos_bid=_rel_pos(b[_k.NB], b[_k.QB]),
             intensities=self._clock.intensities(),
             history=self._clock.history_features(self.config.history_window),
             t_remaining=self.config.horizon - self.t,
@@ -246,7 +246,7 @@ class MarketMakingEnv:
             raise ValueError("impulse must be given iff decision == 1")
 
         cfg = self.config
-        pre_cash = float(self._cash_arr[0])
+        pre_cash = self._cash_arr[0]
         pre_inv_value = self._inventory() * self._p_mid()
 
         action_name = ""
@@ -269,7 +269,7 @@ class MarketMakingEnv:
         self._step_index += 1
 
         inventory_penalty = -cfg.eta * float(y_held) ** 2 * cfg.decision_dt
-        cash_delta = float(self._cash_arr[0]) - pre_cash
+        cash_delta = self._cash_arr[0] - pre_cash
         inv_value_delta = self._inventory() * self._p_mid() - pre_inv_value
         terminal_adjustment = 0.0
         done = self._step_index >= cfg.n_steps
@@ -290,10 +290,9 @@ class MarketMakingEnv:
         if self.record_trace:
             b = self._book_arr
             self.trace.append(StepRecord(
-                t=self.t, cash=float(self._cash_arr[0]),
+                t=self.t, cash=self._cash_arr[0],
                 inventory=self._inventory(),
-                p_ask=int(b[_k.PA]) * self._tick,
-                p_bid=int(b[_k.PB]) * self._tick,
+                p_ask=b[_k.PA] * self._tick, p_bid=b[_k.PB] * self._tick,
                 action=action_name, reward=reward))
         return obs, reward, done
 
@@ -305,8 +304,7 @@ class MarketMakingEnv:
             clock.lam_buf, self._fill_px)
         for side_ask, price in zip((True, False), self._fill_px):
             if not math.isnan(price):
-                self.fills.append(FillReport(side_ask=side_ask,
-                                             price=float(price)))
+                self.fills.append(FillReport(side_ask=side_ask, price=price))
 
 
 def episode_pnl(env) -> float:

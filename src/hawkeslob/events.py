@@ -9,8 +9,6 @@ config files and checkpoints.
 
 from enum import IntEnum
 
-import numpy as np
-
 ASK = 1
 BID = 0
 
@@ -73,19 +71,13 @@ RESTRICTED_IMPULSES = (
 )
 
 # Per-event side (1 ask / 0 bid) and action kind, kernel dispatch tables.
-EVENT_SIDE = np.array([1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0], dtype=np.int64)
-EVENT_KIND = np.array(
-    [KIND_LO_D, KIND_LO_T, KIND_CO_T, KIND_CO_D, KIND_MO, KIND_IS,
-     KIND_IS, KIND_LO_T, KIND_CO_T, KIND_CO_D, KIND_MO, KIND_LO_D],
-    dtype=np.int64,
-)
+EVENT_SIDE = (1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
+EVENT_KIND = (KIND_LO_D, KIND_LO_T, KIND_CO_T, KIND_CO_D, KIND_MO, KIND_IS,
+              KIND_IS, KIND_LO_T, KIND_CO_T, KIND_CO_D, KIND_MO, KIND_LO_D)
 
-IMPULSE_SIDE = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0], dtype=np.int64)
-IMPULSE_KIND = np.array(
-    [KIND_LO_T, KIND_LO_T, KIND_LO_D, KIND_LO_D, KIND_IS, KIND_IS,
-     KIND_CO_T, KIND_CO_T, KIND_MO, KIND_MO],
-    dtype=np.int64,
-)
+IMPULSE_SIDE = (1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
+IMPULSE_KIND = (KIND_LO_T, KIND_LO_T, KIND_LO_D, KIND_LO_D, KIND_IS, KIND_IS,
+                KIND_CO_T, KIND_CO_T, KIND_MO, KIND_MO)
 
 # Ask type <-> bid type under the ask/bid mirror symmetry.
-MIRROR_EVENT = np.array([11, 7, 8, 9, 10, 6, 5, 1, 2, 3, 4, 0], dtype=np.int64)
+MIRROR_EVENT = (11, 7, 8, 9, 10, 6, 5, 1, 2, 3, 4, 0)

@@ -99,15 +99,15 @@ class HawkesClock:
         """Per-type counts over [now - window, now] plus time since last.
 
         With no events yet, the counts are zero and the trailing entry is
-        the window length.
+        the window length. The counts walk the event log, so a window
+        that spans more than ``log_capacity`` events is undercounted,
+        without an error.
         """
         if not window > 0:
             raise ValueError(f"window must be > 0, got {window}")
         d = self.params.n_types
         out = np.empty(d + 1)
-        cnt = np.empty(d, dtype=np.int64)
-        _k.history_counts(*self.state, window, cnt)
-        out[:d] = cnt
+        _k.history_counts(*self.state, window, out)
         newest = self.log_t[self.clock_i[_k.CK_LOG_NEXT] - 1]
         out[d] = self.now - newest if self.clock_i[_k.CK_LOG_SIZE] else window
         return out

@@ -19,7 +19,7 @@ from state deltas so it is never double counted.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ ALL_IDX = tuple(range(N_IMPULSES))
 RESTRICTED_IDX = tuple(int(psi) for psi in RESTRICTED_IMPULSES)
 
 # Per impulse: its action kind and the book slot of its side's priority.
-_RULE = tuple((int(kind), _k.NA if side else _k.NB)
+_RULE = tuple((kind, _k.NA if side else _k.NB)
               for kind, side in zip(IMPULSE_KIND, IMPULSE_SIDE))
 
 
@@ -42,30 +42,27 @@ class InadmissibleImpulseError(ValueError):
     pass
 
 
-def admissible_arr(book, psi: int) -> bool:
-    """The admissibility rules on the ``int64[9]`` book layout.
-
-    ``book`` is the book array or its ``tolist()``; a priority of -1 means
-    the agent does not rest on that side.
-    """
+def admissible_arr(book: Sequence[int], psi: int) -> bool:
+    """The admissibility rules on the kernels' book state (the list of 9
+    ints of :mod:`hawkeslob._kernels`); a priority of -1 means the agent
+    does not rest on that side."""
     kind, slot = _RULE[psi]
     n = book[slot]
     if kind == KIND_CO_T:
-        return bool(n >= 0)
+        return n >= 0
     if kind == KIND_MO:
-        return bool(n != 0)
+        return n != 0
     if kind == KIND_IS and book[_k.PA] - book[_k.PB] <= 1:
         return False
-    return bool(n < 0)
+    return n < 0
 
 
-def mask_arr(book: np.ndarray, impulses: Iterable[int]) -> np.ndarray:
+def mask_arr(book: Sequence[int], impulses: Iterable[int]) -> np.ndarray:
     """Boolean mask over the canonical impulse order, zero outside
     ``impulses``."""
-    values = book.tolist()
     mask = np.zeros(N_IMPULSES, dtype=bool)
     for psi in impulses:
-        mask[psi] = admissible_arr(values, psi)
+        mask[psi] = admissible_arr(book, psi)
     return mask
 
 
@@ -96,4 +93,4 @@ def apply_impulse(book: BookState, agent: AgentBookState, psi: Impulse,
     k_cash = _k.apply_impulse(arr, cash, int(psi), book.tick,
                               replenish.p, rng.state)
     book2, agent2 = unpack_state(arr, cash, book.tick)
-    return book2, agent2, float(k_cash)
+    return book2, agent2, k_cash

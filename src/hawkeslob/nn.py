@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rng import RandomStream
+from .rng import RandomStream, draw_count
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -216,7 +216,9 @@ class DenseNet:
     @classmethod
     def from_dict(cls, doc: dict) -> "DenseNet":
         """Rebuild from ``to_dict`` output; ValueError when a weight or
-        bias shape does not match ``layer_sizes``."""
+        bias shape does not match ``layer_sizes``, an Adam moment's shape
+        does not match its weight or bias, or ``adam_t`` is not a
+        non-negative integer."""
         net = cls.__new__(cls)
         net._configure(doc["layer_sizes"], doc["activation"], doc["head"],
                        doc["learning_rate"])
@@ -230,11 +232,16 @@ class DenseNet:
                       [(n,) for n in sizes[1:]]):
             raise ValueError(f"weight and bias shapes {shapes} do not fit "
                              f"layer_sizes {sizes}")
-        net.adam_m = [(np.asarray(mw), np.asarray(mb))
-                      for mw, mb in doc["adam_m"]]
-        net.adam_v = [(np.asarray(vw), np.asarray(vb))
-                      for vw, vb in doc["adam_v"]]
-        net.adam_t = int(doc["adam_t"])
+        for name in ("adam_m", "adam_v"):
+            moments = [(np.asarray(mw, dtype=np.float64),
+                        np.asarray(mb, dtype=np.float64))
+                       for mw, mb in doc[name]]
+            got = [(mw.shape, mb.shape) for mw, mb in moments]
+            if got != list(zip(*shapes)):
+                raise ValueError(f"{name} shapes {got} do not match the "
+                                 f"weight and bias shapes {shapes}")
+            setattr(net, name, moments)
+        net.adam_t = draw_count(doc["adam_t"], "adam_t")
         return net
 
     def save(self, path) -> None:

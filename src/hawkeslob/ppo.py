@@ -74,6 +74,9 @@ class TrainerConfig:
             raise ValueError("discount must be in (0, 1]")
         if not 0.0 < self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must be in (0, 1]")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
         if self.ablation not in ABLATION_CHOICES:
             raise ValueError(f"unknown ablation {self.ablation!r}")
         for name in ("minibatch_size", "episodes_per_update", "sil_batch",

@@ -106,7 +106,7 @@ def exogenous_branches(book: BookState, agent: AgentBookState, e: EventType,
                        redraw_p: float = 0.4,
                        ) -> List[Tuple[float, BookState, AgentBookState]]:
     """All (weight, post-state) branches of the event transition T_e."""
-    kind, side = int(EVENT_KIND[int(e)]), int(EVENT_SIDE[int(e)])
+    kind, side = EVENT_KIND[e], EVENT_SIDE[e]
     branches, _ = _branches(
         book, agent, lambda arr: _k.exogenous_draws(arr, kind, side),
         lambda arr, cash, hit, rv: _k.apply_exogenous_resolved(
@@ -120,13 +120,13 @@ def impulse_branches(book: BookState, agent: AgentBookState, psi: Impulse,
                      ) -> Tuple[List[Tuple[float, BookState, AgentBookState]],
                                 float]:
     """Branches of Gamma(., psi) plus the (branch-independent) profit K."""
-    kind, side = int(IMPULSE_KIND[int(psi)]), int(IMPULSE_SIDE[int(psi)])
+    kind, side = IMPULSE_KIND[psi], IMPULSE_SIDE[psi]
     branches, k_cash = _branches(
         book, agent, lambda arr: _k.impulse_draws(arr, kind, side),
         lambda arr, cash, hit, rv: _k.apply_impulse_resolved(
             arr, cash, kind, side, book.tick, rv),
         redraw_p)
-    return branches, float(k_cash)
+    return branches, k_cash
 
 
 # ---------------------------------------------------------------------------

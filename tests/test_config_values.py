@@ -8,6 +8,7 @@ import pytest
 from hawkeslob.book import BookInitConfig, sample_initial_state
 from hawkeslob.cli import load_app_config
 from hawkeslob.env import EpisodeConfig
+from hawkeslob.ppo import TrainerConfig
 from hawkeslob.rng import RandomStream
 
 
@@ -52,4 +53,18 @@ def test_config_file_names_the_value(tmp_path, doc, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=named):
+        load_app_config(str(path))
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
+def test_trainer_refuses_a_learning_rate_outside_0_inf(value):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainerConfig(learning_rate=value)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_file_names_the_learning_rate(tmp_path, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trainer": {"learning_rate": value}}))
+    with pytest.raises(ValueError, match="learning_rate"):
         load_app_config(str(path))

@@ -25,7 +25,7 @@ REDRAW_P = 0.4
 
 
 def _key(arr, cash):
-    return (*arr.tolist(), float(cash[0]))
+    return (*list(arr), float(cash[0]))
 
 
 def _states():
