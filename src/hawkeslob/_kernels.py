@@ -49,11 +49,14 @@ exponential tables are lists of Python floats and ints, nested for the
 rank-2 ones (``KernelParams.clock_args`` builds the tables). The event
 log and the power-law tables are numpy arrays, because the power-law sum
 reads them as one array expression. The kernels read the block only by
-``x[i]`` / ``x[i][k]`` and ``len``, so an all-array block gives the same
-bits (``tests/test_clock_layout.py`` keeps that as a reference check).
+``x[i]`` / ``x[i][k]``, iteration over a row and ``len``, so an
+all-array block gives the same bits (``tests/test_clock_layout.py``
+keeps that as a reference check).
 
-The tables ``a1``, ``a2``, ``a3`` are rank 2 for both kinds (lists of
-lists for exponential kernels, ``float64`` arrays for power-law ones):
+The tables ``a1`` and ``a2`` are rank 2 for both kinds (lists of lists
+for exponential kernels, arrays for power-law ones); ``a3`` is rank 2 for
+power-law kernels and three rows of their own lengths for exponential
+ones:
 
 * exponential (kind 0): decay-grouped. ``exc`` is ``[d, m]``, where
   slot k of row i holds the excitation, at the anchor time, from every
@@ -61,8 +64,14 @@ lists for exponential kernels, ``float64`` arrays for power-law ones):
   alpha_ij != 0 count. m is 1 for row-constant decay, at most d, and 0
   when alpha is zero (the intensity is then ``mu`` exactly). ``a1`` is
   ``[d, d*m]`` with ``a1[i, j*m + k]`` the jump an event of type j adds
-  to slot k of row i (alpha_ij or 0), ``a2`` is ``[d, m]`` (slot decays)
-  and ``a3`` is unused.
+  to slot k of row i (alpha_ij or 0) and ``a2`` is ``[d, m]`` (slot
+  decays). ``a3`` holds the decay-group tables, three rows of their own
+  lengths: ``a3[0]`` the G distinct slot decays, ``a3[1][i*m + k]`` the
+  group of slot k of row i, and ``a3[2][j]`` the total intensity an
+  event of type j adds at age 0 (the column sum of ``a1`` over j's
+  slots). The kernels take one ``exp`` per group and reuse it across
+  rows: its argument is the same float as a per-slot ``exp`` would take,
+  so the bits are those of one ``exp`` per row and slot.
 * power-law (kind 1): ``a1``, ``a2``, ``a3`` are alpha_pl, beta_pl and
   delta_pl (``[d, d]``), ``horizon`` is the truncation age, and ``exc``
   is unused (m = 0); the intensity is a sum over the event log, one
@@ -70,12 +79,15 @@ lists for exponential kernels, ``float64`` arrays for power-law ones):
 
 Event step: ``next_event`` samples the next event by thinning and
 registers it on the clock, so every sampling loop shares one step and
-differs only in what it keeps. ``HawkesClock.simulate`` keeps event
-times and types; ``advance_interval`` applies each event to the book and
-keeps only the agent's fill price per side in a two-slot ``fill_px``
-(nan when that side did not fill). A fill removes the agent's order and
-only an impulse places one, so a side fills at most once per decision
-interval.
+differs only in what it keeps. On an exponential kernel it evaluates a
+candidate in one pass, and an accepted event reuses that pass's decayed
+excitation instead of decaying ``exc`` again; power-law kernels compose
+``intensities_at`` and ``register_event``. ``HawkesClock.simulate``
+keeps event times and types; ``advance_interval`` applies each event to
+the book and keeps only the agent's fill price per side in a two-slot
+``fill_px`` (nan when that side did not fill). A fill removes the
+agent's order and only an impulse places one, so a side fills at most
+once per decision interval.
 
 Randomness draw discipline (transition functions); the order is part of
 the replay contract. ``exogenous_draws`` and ``impulse_draws`` are its one
@@ -224,9 +236,10 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
 
     Exponential kernels (kind 0): ``mu[i]`` plus row i's m slots of
     ``exc``, each decayed from the anchor time by its slot decay
-    ``a2[i, k]``; ``exc`` is not mutated, so the value at a given time
-    does not depend on how many intermediate queries were made. Power-law
-    kernels (kind 1): direct sum over the logged events at most
+    ``a2[i, k]``, with one ``exp`` per decay group (``a3``); ``exc`` is
+    not mutated, so the value at a given time does not depend on how many
+    intermediate queries were made. Power-law kernels (kind 1): direct
+    sum over the logged events at most
     ``horizon`` seconds old, one ``[n, d]`` array expression whose rows are
     added in log order, oldest first, so a given set of entries gives the
     same bits wherever the ring buffer holds them; raises ``ValueError``
@@ -238,15 +251,15 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     total = 0.0
     if kind == KIND_EXP:
         m = len(exc[0])
-        dt = t - clock_f[CK_ANCHOR]
+        ex = _group_decay(a3, t - clock_f[CK_ANCHOR])
+        grp = a3[1]
         for i in range(d):
             s = mu[i]
             exc_i = exc[i]
-            a2_i = a2[i]
             for k in range(m):
                 e = exc_i[k]
                 if e != 0.0:
-                    s += e * math.exp(-a2_i[k] * dt)
+                    s += e * ex[grp[i * m + k]]
             out[i] = s
             total += s
     else:
@@ -299,23 +312,39 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     """Apply an event of type ``j_ev`` at time ``t_ev`` to the clock state.
 
     For exponential kernels each slot of ``exc`` is decayed from the
-    anchor to ``t_ev`` exactly once and the event's jumps
+    anchor to ``t_ev`` exactly once, with one ``exp`` per decay group, and
+    the event's jumps
     ``a1[i, j_ev*m : (j_ev+1)*m]`` are added to row i's slots; this
     single-decay bookkeeping keeps the state independent of query history.
     """
     if kind == KIND_EXP:
         m = len(exc[0])
-        dt = t_ev - clock_f[CK_ANCHOR]
+        ex = _group_decay(a3, t_ev - clock_f[CK_ANCHOR])
+        grp = a3[1]
         col = j_ev * m
         for i in range(len(counts)):
             exc_i = exc[i]
             a1_i = a1[i]
-            a2_i = a2[i]
             for k in range(m):
                 e = exc_i[k]
                 if e != 0.0:
-                    e *= math.exp(-a2_i[k] * dt)
+                    e *= ex[grp[i * m + k]]
                 exc_i[k] = e + a1_i[col + k]
+    _log_event(clock_f, clock_i, counts, log_t, log_e, t_ev, j_ev)
+
+
+def _group_decay(a3, dt):
+    """``exp(-gamma_g * dt)`` for each decay group g of an exponential
+    kernel: one ``exp`` per distinct decay, the same float argument as a
+    per-slot ``exp(-a2[i, k] * dt)`` would take."""
+    decays = a3[0]
+    return [math.exp(-decays[g] * dt) for g in range(len(decays))]
+
+
+def _log_event(clock_f, clock_i, counts, log_t, log_e, t_ev, j_ev):
+    """Move the anchor to ``t_ev``, count the event and write it to the
+    log (the part of registering an event that is the same for every
+    kernel)."""
     clock_f[CK_ANCHOR] = t_ev
     counts[j_ev] += 1
     cap = len(log_t)
@@ -327,20 +356,13 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
         clock_i[CK_LOG_SIZE] += 1
 
 
-def _jump(kind, a1, exc, j):
-    """Total intensity an event of type ``j`` adds at age 0: the column
-    sum of ``a1`` over j's m slots (exponential) or column j (power-law)."""
-    if kind == KIND_EXP:
-        lo = j * len(exc[0])
-        hi = lo + len(exc[0])
-    else:
-        lo = j
-        hi = j + 1
+def _jump(a1, j):
+    """Total intensity an event of type ``j`` adds at age 0 on a power-law
+    kernel: the column sum of ``alpha_pl`` (exponential kernels read it
+    from ``a3[2]``)."""
     s = 0.0
     for i in range(len(a1)):
-        a1_i = a1[i]
-        for c in range(lo, hi):
-            s += a1_i[c]
+        s += a1[i][j]
     return float(s)
 
 
@@ -349,26 +371,42 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
     """Ogata thinning step: sample the next event at or before ``t_max``
     and register it on the clock.
 
-    Returns ``(t, type)`` with the event applied (``register_event``) and
-    the clock's ``now`` advanced to ``t``, or
-    ``(t_max, -1)`` when no event occurs, with ``now`` advanced to
-    ``t_max``. A proposal that overshoots ``t_max`` is stored as a pending
-    candidate, with the bound it was drawn with left in the bound slot,
-    and consumed by the next call, so simulating in chunks consumes the
-    identical random stream as one call: output is invariant to horizon
-    partitioning, bit for bit.
+    Returns ``(t, type)`` with the event applied and the clock's ``now``
+    advanced to ``t``, or ``(t_max, -1)`` when no event occurs, with
+    ``now`` advanced to ``t_max``. A proposal that overshoots ``t_max`` is
+    stored as a pending candidate, with the bound it was drawn with left
+    in the bound slot, and consumed by the next call, so simulating in
+    chunks consumes the identical random stream as one call: output is
+    invariant to horizon partitioning, bit for bit.
 
     The proposal bound is the total intensity at ``now``, valid because
     both kernel families are non-increasing between events. It is carried
     in ``clock_f[CK_BOUND]``, so each proposal evaluates the intensity
     once, at its candidate time: a rejected candidate leaves the bound at
     the intensity just computed, an accepted event of type j at that
-    intensity plus the event's jump (the column sum of ``a1`` for j, the
+    intensity plus the event's jump (``a3[2][j]`` for exponential
+    kernels, the column sum of ``alpha_pl`` for power-law ones: the
     kernel at age 0). Only when the slot is nan (a new clock, or after
     ``HawkesClock.apply_event``) is the intensity at ``now`` evaluated.
     A candidate intensity above the bound by more than a relative
     ``BOUND_RTOL`` would bias the sampler and raises ``ValueError``.
+
+    Exponential kernels take one pass: the candidate's intensities are
+    evaluated slot by slot as in ``intensities_at``, keeping each slot's
+    decayed excitation, and an accepted event of type j writes those
+    products plus ``a1[i][j*m + k]`` into ``exc``, which is what
+    ``register_event`` would compute with a second ``exp`` pass, so the
+    bits are the same. Rows of one slot (m = 1: row-constant decay, as in
+    the shipped kernel) skip the inner slot loop, whose overhead is a
+    measurable share of a decision step; the products are the same.
+    Power-law kernels evaluate with ``intensities_at`` and register with
+    ``register_event``.
     """
+    d = len(mu)
+    if kind == KIND_EXP:
+        m = len(exc[0])
+        grp = a3[1]
+        dec = [0.0] * (d * m)
     while True:
         if math.isnan(clock_f[CK_PEND_T]):
             if math.isnan(clock_f[CK_BOUND]):
@@ -386,9 +424,36 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
             clock_f[CK_NOW] = t_max
             return t_max, -1
         lam_bar = clock_f[CK_BOUND]
-        lam_tot = intensities_at(
-            kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
-            log_t, log_e, t_cand, lam_buf)
+        if kind == KIND_EXP:
+            ex = _group_decay(a3, t_cand - clock_f[CK_ANCHOR])
+            lam_tot = 0.0
+            if m == 1:
+                for i in range(d):
+                    e = exc[i][0]
+                    if e != 0.0:
+                        e *= ex[grp[i]]
+                        s = mu[i] + e
+                    else:
+                        s = mu[i]
+                    dec[i] = e
+                    lam_buf[i] = s
+                    lam_tot += s
+            else:
+                p = 0
+                for i in range(d):
+                    s = mu[i]
+                    for e in exc[i]:
+                        if e != 0.0:
+                            e *= ex[grp[p]]
+                            s += e
+                        dec[p] = e
+                        p += 1
+                    lam_buf[i] = s
+                    lam_tot += s
+        else:
+            lam_tot = intensities_at(
+                kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
+                counts, log_t, log_e, t_cand, lam_buf)
         if lam_tot - lam_bar > BOUND_RTOL * lam_bar:
             raise ValueError("intensity above the thinning bound: the "
                              "kernel increased between events")
@@ -398,15 +463,32 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
         clock_f[CK_BOUND] = lam_tot
         if v <= lam_tot:
             acc = 0.0
-            j_ev = len(counts) - 1
-            for i in range(len(counts)):
+            j_ev = d - 1
+            for i in range(d):
                 acc += lam_buf[i]
                 if v <= acc:
                     j_ev = i
                     break
-            register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
-                           clock_i, counts, log_t, log_e, t_cand, j_ev)
-            clock_f[CK_BOUND] = lam_tot + _jump(kind, a1, exc, j_ev)
+            if kind == KIND_EXP:
+                if m == 1:
+                    for i in range(d):
+                        exc[i][0] = dec[i] + a1[i][j_ev]
+                else:
+                    col = j_ev * m
+                    p = 0
+                    for i in range(d):
+                        exc_i = exc[i]
+                        a1_i = a1[i]
+                        for k in range(m):
+                            exc_i[k] = dec[p] + a1_i[col + k]
+                            p += 1
+                _log_event(clock_f, clock_i, counts, log_t, log_e, t_cand,
+                           j_ev)
+                clock_f[CK_BOUND] = lam_tot + a3[2][j_ev]
+            else:
+                register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
+                               clock_i, counts, log_t, log_e, t_cand, j_ev)
+                clock_f[CK_BOUND] = lam_tot + _jump(a1, j_ev)
             return t_cand, j_ev
 
 

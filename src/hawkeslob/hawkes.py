@@ -52,6 +52,8 @@ class HawkesClock:
         d = params.n_types
         m = params.n_slots
         t0 = float(t0)
+        if not math.isfinite(t0):
+            raise ValueError(f"t0={t0} is not finite")
         exc = [[0.0] * m for _ in range(d)]
         self.clock_f = [t0, t0, np.nan, np.nan]
         self.clock_i = [0, 0]

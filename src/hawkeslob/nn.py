@@ -16,6 +16,7 @@ stream (``RandomStream.uniforms``), in row-major order.
 from __future__ import annotations
 
 import json
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,7 +75,11 @@ class DenseNet:
         self.layer_sizes = layer_sizes
         self.activation = activation
         self.head = head
-        self.learning_rate = float(learning_rate)
+        learning_rate = float(learning_rate)
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{learning_rate}")
+        self.learning_rate = learning_rate
 
     # -- forward/backward -----------------------------------------------------
 
