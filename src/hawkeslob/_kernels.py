@@ -494,7 +494,14 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
 
 def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, window, out):
-    """Per-type event counts over [now - window, now], into ``out[:d]``."""
+    """Per-type event counts over [now - window, now], into ``out[:d]``.
+
+    A full walk of the log, newest entry first, over at most
+    ``log_capacity`` entries. ``HawkesClock.history`` slides its counts
+    from one query to the next and calls this only to recount (a new
+    window, or a writer that lapped the oldest counted entry); it is also
+    the reference the sliding counts are tested against.
+    """
     for i in range(len(counts)):
         out[i] = 0
     cap = len(log_t)

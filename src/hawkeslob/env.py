@@ -58,6 +58,11 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("eta", "kappa", "fee_bps", "initial_cash",
+                     "history_window"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.horizon <= 0 or self.decision_dt <= 0:
             raise ValueError("horizon and decision_dt must be > 0")
         n = self.horizon / self.decision_dt
@@ -96,30 +101,74 @@ OBS_BLOCKS = {
 OBS_DIM = 7 + 2 * N_EVENT_TYPES
 
 
-@dataclass(frozen=True)
 class Observation:
-    """RL-facing state: agent account, book summary, flow statistics."""
+    """RL-facing state: agent account, book summary, flow statistics.
 
-    cash: float
-    inventory: int
-    spread: float
-    rel_pos_ask: float
-    rel_pos_bid: float
-    intensities: np.ndarray
-    history: np.ndarray
-    t_remaining: float
+    An observation carries its vector (layout ``OBS_BLOCKS``), and the
+    fields are read from it: ``intensities`` and ``history`` are views of
+    it, the other fields Python numbers. ``to_vector()`` returns a copy.
+    The constructor packs the fields into a new vector; the environment
+    writes the vector with one numpy call and wraps it.
+    """
+
+    __slots__ = ("vector",)
+
+    def __init__(self, cash: float, inventory: int, spread: float,
+                 rel_pos_ask: float, rel_pos_bid: float,
+                 intensities: np.ndarray, history: np.ndarray,
+                 t_remaining: float):
+        vec = np.empty(OBS_DIM)
+        vec[0] = cash
+        vec[1] = inventory
+        vec[2] = spread
+        vec[3] = rel_pos_ask
+        vec[4] = rel_pos_bid
+        vec[5:5 + N_EVENT_TYPES] = intensities
+        vec[5 + N_EVENT_TYPES:6 + 2 * N_EVENT_TYPES] = history
+        vec[6 + 2 * N_EVENT_TYPES] = t_remaining
+        self.vector = vec
+
+    @classmethod
+    def _wrap(cls, vector: np.ndarray) -> "Observation":
+        """An observation that carries ``vector`` itself, not a copy."""
+        obs = cls.__new__(cls)
+        obs.vector = vector
+        return obs
+
+    @property
+    def cash(self) -> float:
+        return self.vector.item(0)
+
+    @property
+    def inventory(self) -> int:
+        return int(self.vector.item(1))
+
+    @property
+    def spread(self) -> float:
+        return self.vector.item(2)
+
+    @property
+    def rel_pos_ask(self) -> float:
+        return self.vector.item(3)
+
+    @property
+    def rel_pos_bid(self) -> float:
+        return self.vector.item(4)
+
+    @property
+    def intensities(self) -> np.ndarray:
+        return self.vector[5:5 + N_EVENT_TYPES]
+
+    @property
+    def history(self) -> np.ndarray:
+        return self.vector[5 + N_EVENT_TYPES:6 + 2 * N_EVENT_TYPES]
+
+    @property
+    def t_remaining(self) -> float:
+        return self.vector.item(6 + 2 * N_EVENT_TYPES)
 
     def to_vector(self) -> np.ndarray:
-        vec = np.empty(OBS_DIM)
-        vec[0] = self.cash
-        vec[1] = self.inventory
-        vec[2] = self.spread
-        vec[3] = self.rel_pos_ask
-        vec[4] = self.rel_pos_bid
-        vec[5:5 + N_EVENT_TYPES] = self.intensities
-        vec[5 + N_EVENT_TYPES:6 + 2 * N_EVENT_TYPES] = self.history
-        vec[6 + 2 * N_EVENT_TYPES] = self.t_remaining
-        return vec
+        return self.vector.copy()
 
 
 @dataclass(frozen=True)
@@ -167,6 +216,7 @@ class MarketMakingEnv:
         self.init_config = init_config
         self.record_trace = record_trace
         self._fill_px = [math.nan, math.nan]
+        self._lam = [0.0] * N_EVENT_TYPES
         self._done = True
         self._step_index = 0
 
@@ -222,16 +272,14 @@ class MarketMakingEnv:
 
     def _observation(self) -> Observation:
         b = self._book_arr
-        return Observation(
-            cash=self._cash_arr[0],
-            inventory=self._inventory(),
-            spread=(b[_k.PA] - b[_k.PB]) * self._tick,
-            rel_pos_ask=_rel_pos(b[_k.NA], b[_k.QA]),
-            rel_pos_bid=_rel_pos(b[_k.NB], b[_k.QB]),
-            intensities=self._clock.intensities(),
-            history=self._clock.history_features(self.config.history_window),
-            t_remaining=self.config.horizon - self.t,
-        )
+        clock = self._clock
+        lam = self._lam
+        _k.intensities_at(*clock.state, clock.now, lam)
+        return Observation._wrap(np.array(
+            [self._cash_arr[0], b[_k.YINV], (b[_k.PA] - b[_k.PB]) * self._tick,
+             _rel_pos(b[_k.NA], b[_k.QA]), _rel_pos(b[_k.NB], b[_k.QB]),
+             *lam, *clock.history(self.config.history_window),
+             self.config.horizon - self.t], dtype=np.float64))
 
     # -- dynamics ---------------------------------------------------------------
 

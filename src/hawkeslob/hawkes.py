@@ -61,6 +61,14 @@ class HawkesClock:
         self.lam_buf = [0.0] * d
         self.log_t = np.zeros(log_capacity)
         self.log_e = np.zeros(log_capacity, dtype=np.int64)
+        # Sliding history counts (see ``history``): the d counts and the
+        # time since the last event, the window they were taken over (nan:
+        # none yet), the number of events logged before the oldest counted
+        # entry, and the number of events logged at that query.
+        self._hist = [0] * (d + 1)
+        self._hist_window = math.nan
+        self._hist_tail = 0
+        self._hist_head = 0
         # The clock kernels' leading argument block (see ``_kernels``).
         self.state = (*params.clock_args, exc, self.clock_f, self.clock_i,
                       self.counts, self.log_t, self.log_e)
@@ -101,18 +109,51 @@ class HawkesClock:
         """Per-type counts over [now - window, now] plus time since last.
 
         With no events yet, the counts are zero and the trailing entry is
-        the window length. The counts walk the event log, so a window
-        that spans more than ``log_capacity`` events is undercounted,
-        without an error.
+        the window length. ValueError unless the window is finite and > 0.
+
+        The counts slide from one query to the next: the clock keeps the
+        window, the oldest entry inside it and the counts from its last
+        query. For the same window at a later ``now`` it adds the entries
+        logged since and drops the oldest ones while ``now - t > window``,
+        which stays true as ``now`` grows, so the counts equal those of a
+        full walk of the log. A changed window, or a writer that has
+        lapped the oldest counted entry (more than ``log_capacity``
+        entries logged since it), recounts with that walk
+        (``_kernels.history_counts``). The counts read the event log, so
+        a window that spans more than ``log_capacity`` events is
+        undercounted, without an error.
         """
-        if not window > 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        d = self.params.n_types
-        out = np.empty(d + 1)
-        _k.history_counts(*self.state, window, out)
-        newest = self.log_t[self.clock_i[_k.CK_LOG_NEXT] - 1]
-        out[d] = self.now - newest if self.clock_i[_k.CK_LOG_SIZE] else window
-        return out
+        return np.array(self.history(window), dtype=np.float64)
+
+    def history(self, window: float) -> list:
+        """``history_features(window)`` as the clock's own list of Python
+        numbers (the d counts, then the time since the last event), which
+        the next call overwrites."""
+        if not 0.0 < window < math.inf:
+            raise ValueError(f"window must be finite and > 0, got {window}")
+        hist = self._hist
+        d = len(self.counts)
+        n = sum(self.counts)
+        now = self.clock_f[_k.CK_NOW]
+        log_t = self.log_t
+        cap = len(log_t)
+        tail = self._hist_tail
+        if window != self._hist_window or n - tail > cap:
+            _k.history_counts(*self.state, window, hist)
+            self._hist_window = window
+            tail = n - sum(hist[:d])
+        else:
+            log_e = self.log_e
+            for k in range(self._hist_head, n):
+                hist[log_e.item(k % cap)] += 1
+            while tail < n and now - log_t.item(tail % cap) > window:
+                hist[log_e.item(tail % cap)] -= 1
+                tail += 1
+        self._hist_tail = tail
+        self._hist_head = n
+        hist[d] = (now - log_t.item(self.clock_i[_k.CK_LOG_NEXT] - 1)
+                   if n else window)
+        return hist
 
     # -- evolution -----------------------------------------------------------
 

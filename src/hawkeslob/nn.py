@@ -11,6 +11,11 @@ forward pass again. The activation's derivative is read off the kept
 activation (relu: a > 0, which is z > 0; tanh: 1 - a**2), so both routes
 give the same bits. Initial weights are one block of uniforms from the
 stream (``RandomStream.uniforms``), in row-major order.
+
+The policy step runs each net on one row at a time. ``forward`` takes a
+1-d float64 row as it is, with no conversion or reshape per call and one
+width check, and each layer's activation is computed into that layer's
+fresh output, so a row gives the same bits as the batch path.
 """
 
 from __future__ import annotations
@@ -84,9 +89,10 @@ class DenseNet:
     # -- forward/backward -----------------------------------------------------
 
     def _act(self, z: np.ndarray) -> np.ndarray:
+        """The activation, computed into ``z``."""
         if self.activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
+            return np.maximum(z, 0.0, out=z)
+        return np.tanh(z, out=z)
 
     def _act_grad(self, a: np.ndarray) -> np.ndarray:
         """Derivative of the activation where it output ``a``."""
@@ -100,22 +106,33 @@ class DenseNet:
 
         A list passed as ``keep`` receives the input of every layer: the
         rows of ``x``, then each hidden activation. ``backward`` takes it
-        as ``acts``.
+        as ``acts``. A single row given as a 1-d float64 array, with no
+        ``keep``, runs as it is, without conversion or reshape.
         """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        h = x.reshape(1, -1) if single else x
-        if h.shape[1] != self.layer_sizes[0]:
+        if (keep is None and type(x) is np.ndarray and x.ndim == 1
+                and x.dtype == np.float64):
+            h = x  # one row, 1-d through every layer
+            as_row = False
+            width = x.shape[0]
+        else:
+            x = np.asarray(x, dtype=np.float64)
+            as_row = x.ndim == 1
+            h = x.reshape(1, -1) if as_row else x
+            width = h.shape[1]
+        if width != self.layer_sizes[0]:
             raise ValueError(
-                f"expected {self.layer_sizes[0]} features, got {h.shape[1]}")
+                f"expected {self.layer_sizes[0]} features, got {width}")
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             if keep is not None:
                 keep.append(h)
-            h = self._act(h @ w + b)
+            h = h @ w
+            h += b
+            self._act(h)
         if keep is not None:
             keep.append(h)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out[0] if single else out
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
+        return out[0] if as_row else out
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray,
                  acts: Optional[list] = None) -> Gradients:

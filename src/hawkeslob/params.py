@@ -70,8 +70,8 @@ class KernelParams:
             if np.any(delta_pl <= 0):
                 raise ValueError("delta_pl entries must be > 0")
             pl_horizon = float(self.pl_horizon)
-            if pl_horizon <= 0:
-                raise ValueError("pl_horizon must be > 0")
+            if not pl_horizon > 0:
+                raise ValueError(f"pl_horizon must be > 0, got {pl_horizon}")
             object.__setattr__(self, "pl_horizon", pl_horizon)
             object.__setattr__(self, "alpha_pl", alpha_pl)
             object.__setattr__(self, "beta_pl", beta_pl)

@@ -160,7 +160,10 @@ class PolicyNets:
         self.ablation = ablation
 
     def features(self, obs: Observation) -> np.ndarray:
-        vec = (obs.to_vector() - self.center) / self.scale
+        """The normalised feature vector of an ``Observation``, read from
+        the vector it carries, or of any object with ``to_vector()``."""
+        vec = obs.vector if isinstance(obs, Observation) else obs.to_vector()
+        vec = (vec - self.center) / self.scale
         if self.ablation != "none":
             lo, hi = OBS_BLOCKS[self.ablation]
             vec[lo:hi] = 0.0
