@@ -69,9 +69,7 @@ ones:
   lengths: ``a3[0]`` the G distinct slot decays, ``a3[1][i*m + k]`` the
   group of slot k of row i, and ``a3[2][j]`` the total intensity an
   event of type j adds at age 0 (the column sum of ``a1`` over j's
-  slots). The kernels take one ``exp`` per group and reuse it across
-  rows: its argument is the same float as a per-slot ``exp`` would take,
-  so the bits are those of one ``exp`` per row and slot.
+  slots).
 * power-law (kind 1): ``a1``, ``a2``, ``a3`` are alpha_pl, beta_pl and
   delta_pl (``[d, d]``), ``horizon`` is the truncation age, and ``exc``
   is unused (m = 0); the intensity is a sum over the event log, one
@@ -79,12 +77,13 @@ ones:
 
 Event step: ``next_event`` samples the next event by thinning and
 registers it on the clock, so every sampling loop shares one step and
-differs only in what it keeps. On an exponential kernel it evaluates a
-candidate in one pass, and an accepted event reuses that pass's decayed
-excitation instead of decaying ``exc`` again; power-law kernels compose
-``intensities_at`` and ``register_event``. ``HawkesClock.simulate``
-keeps event times and types; ``advance_interval`` applies each event to
-the book and keeps only the agent's fill price per side in a two-slot
+differs only in what it keeps. The exponential arithmetic is written
+once, as the decay pass ``_decay`` and the jump write-back ``_add_jump``,
+which ``intensities_at``, ``register_event`` and ``next_event`` share;
+an accepted event reuses its candidate's decayed excitation, and both
+kernel families share one accept path. ``HawkesClock.simulate`` keeps
+event times and types; ``advance_interval`` applies each event to the
+book and keeps only the agent's fill price per side in a two-slot
 ``fill_px`` (nan when that side did not fill). A fill removes the
 agent's order and only an impulse places one, so a side fills at most
 once per decision interval.
@@ -230,15 +229,72 @@ def _first_within(log_t, lo, hi, t, horizon):
     return k
 
 
+def _decay(mu, a3, exc, dt, out, dec):
+    """The exponential decay pass, ``dt`` after the anchor: per-type
+    intensities into ``out`` and each slot's decayed excitation into
+    ``dec`` (row by row); returns the total. One ``exp`` per decay group,
+    on the float a per-slot ``exp(-a2[i, k] * dt)`` would take, so the
+    bits are those of one ``exp`` per row and slot. Rows of one slot
+    (m = 1, the shipped kernel) skip the inner slot loop, a measurable
+    share of a decision step; the sums are the same.
+    """
+    decays = a3[0]
+    ex = [math.exp(-decays[g] * dt) for g in range(len(decays))]
+    grp = a3[1]
+    total = 0.0
+    if len(exc[0]) == 1:
+        for i in range(len(mu)):
+            e = exc[i][0]
+            if e != 0.0:
+                e *= ex[grp[i]]
+                s = mu[i] + e
+            else:
+                s = mu[i]
+            dec[i] = e
+            out[i] = s
+            total += s
+    else:
+        p = 0
+        for i in range(len(mu)):
+            s = mu[i]
+            for e in exc[i]:
+                if e != 0.0:
+                    e *= ex[grp[p]]
+                    s += e
+                dec[p] = e
+                p += 1
+            out[i] = s
+            total += s
+    return total
+
+
+def _add_jump(a1, exc, dec, j):
+    """The exponential write-back: set ``exc`` to the decayed excitation
+    ``dec`` plus the jumps ``a1[i, j*m : (j+1)*m]`` of an event of type
+    ``j``."""
+    m = len(exc[0])
+    if m == 1:
+        for i in range(len(exc)):
+            exc[i][0] = dec[i] + a1[i][j]
+    else:
+        col = j * m
+        p = 0
+        for i in range(len(exc)):
+            exc_i = exc[i]
+            a1_i = a1[i]
+            for k in range(m):
+                exc_i[k] = dec[p] + a1_i[col + k]
+                p += 1
+
+
 def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, t, out):
     """Fill ``out`` with per-type intensities at time ``t``; return total.
 
-    Exponential kernels (kind 0): ``mu[i]`` plus row i's m slots of
-    ``exc``, each decayed from the anchor time by its slot decay
-    ``a2[i, k]``, with one ``exp`` per decay group (``a3``); ``exc`` is
-    not mutated, so the value at a given time does not depend on how many
-    intermediate queries were made. Power-law kernels (kind 1): direct
+    Exponential kernels (kind 0): the decay pass from the anchor to ``t``;
+    ``exc`` is not mutated, so the value at a given time does not depend
+    on how many intermediate queries were made. Power-law kernels (kind
+    1): direct
     sum over the logged events at most
     ``horizon`` seconds old, one ``[n, d]`` array expression whose rows are
     added in log order, oldest first, so a given set of entries gives the
@@ -247,63 +303,52 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     and the oldest kept entry is within ``horizon``, since overwritten
     events would be missing.
     """
+    if kind == KIND_EXP:
+        return _decay(mu, a3, exc, t - clock_f[CK_ANCHOR], out,
+                      [0.0] * (len(exc) * len(exc[0])))
     d = len(mu)
     total = 0.0
-    if kind == KIND_EXP:
-        m = len(exc[0])
-        ex = _group_decay(a3, t - clock_f[CK_ANCHOR])
-        grp = a3[1]
-        for i in range(d):
-            s = mu[i]
-            exc_i = exc[i]
-            for k in range(m):
-                e = exc_i[k]
-                if e != 0.0:
-                    s += e * ex[grp[i * m + k]]
-            out[i] = s
-            total += s
+    cap = len(log_t)
+    log_next = clock_i[CK_LOG_NEXT]
+    full = clock_i[CK_LOG_SIZE] == cap
+    if full:
+        n_logged = 0
+        for c in counts:
+            n_logged += c
+        if n_logged > cap and t - log_t[log_next] <= horizon:
+            raise ValueError("event log wrapped within the power-law "
+                             "horizon; raise log_capacity")
+    # The kept entries, oldest first: a run ending at the newest entry.
+    # In a full log it may start in the older slice [log_next, cap),
+    # and then it takes all of the newer slice [0, log_next).
+    lo = _first_within(log_t, 0, log_next, t, horizon)
+    lo_old = cap
+    if lo == 0 and full:
+        lo_old = _first_within(log_t, log_next, cap, t, horizon)
+    if lo_old < cap:
+        kept_t = np.concatenate((log_t[lo_old:], log_t[:log_next]))
+        kept_e = np.concatenate((log_e[lo_old:], log_e[:log_next]))
     else:
-        cap = len(log_t)
-        log_next = clock_i[CK_LOG_NEXT]
-        full = clock_i[CK_LOG_SIZE] == cap
-        if full:
-            n_logged = 0
-            for c in counts:
-                n_logged += c
-            if n_logged > cap and t - log_t[log_next] <= horizon:
-                raise ValueError("event log wrapped within the power-law "
-                                 "horizon; raise log_capacity")
-        # The kept entries, oldest first: a run ending at the newest entry.
-        # In a full log it may start in the older slice [log_next, cap),
-        # and then it takes all of the newer slice [0, log_next).
-        lo = _first_within(log_t, 0, log_next, t, horizon)
-        lo_old = cap
-        if lo == 0 and full:
-            lo_old = _first_within(log_t, log_next, cap, t, horizon)
-        if lo_old < cap:
-            kept_t = np.concatenate((log_t[lo_old:], log_t[:log_next]))
-            kept_e = np.concatenate((log_e[lo_old:], log_e[:log_next]))
-        else:
-            kept_t = log_t[lo:log_next]
-            kept_e = log_e[lo:log_next]
-        n = len(kept_t)
-        age = (t - kept_t).reshape((n, 1))
-        # Row k of these [n, d] arrays is what entry k adds to each type.
-        # Only pairs with alpha != 0 take the power (flattened, so the
-        # mask is 1-d). ``float_power`` is libm's ``pow``, where numpy's
-        # ``**`` may use SIMD code that differs in the last bit.
-        terms = a1.T[kept_e].ravel()
-        base = (1.0 + age / a3.T[kept_e]).ravel()
-        expo = a2.T[kept_e].ravel()
-        on = terms != 0.0
-        terms[on] = terms[on] * np.float_power(base[on], -expo[on])
-        # Reduced over axis 0, the rows are added one after another, in
-        # log order.
-        excitation = terms.reshape((n, d)).sum(axis=0)
-        for i in range(d):
-            s = mu[i] + float(excitation[i])
-            out[i] = s
-            total += s
+        kept_t = log_t[lo:log_next]
+        kept_e = log_e[lo:log_next]
+    n = len(kept_t)
+    age = (t - kept_t).reshape((n, 1))
+    # Row k of these [n, d] arrays is what entry k adds to each type.
+    # Only pairs with alpha != 0 take the power (flattened, so the
+    # mask is 1-d). ``float_power`` is libm's ``pow``, where numpy's
+    # ``**`` may use SIMD code that differs in the last bit.
+    terms = a1.T[kept_e].ravel()
+    base = (1.0 + age / a3.T[kept_e]).ravel()
+    expo = a2.T[kept_e].ravel()
+    on = terms != 0.0
+    terms[on] = terms[on] * np.float_power(base[on], -expo[on])
+    # Reduced over axis 0, the rows are added one after another, in
+    # log order.
+    excitation = terms.reshape((n, d)).sum(axis=0)
+    for i in range(d):
+        s = mu[i] + float(excitation[i])
+        out[i] = s
+        total += s
     return total
 
 
@@ -311,34 +356,15 @@ def register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
                    counts, log_t, log_e, t_ev, j_ev):
     """Apply an event of type ``j_ev`` at time ``t_ev`` to the clock state.
 
-    For exponential kernels each slot of ``exc`` is decayed from the
-    anchor to ``t_ev`` exactly once, with one ``exp`` per decay group, and
-    the event's jumps
-    ``a1[i, j_ev*m : (j_ev+1)*m]`` are added to row i's slots; this
-    single-decay bookkeeping keeps the state independent of query history.
+    For exponential kernels ``exc`` is decayed from the anchor to ``t_ev``
+    once and the event's jumps added, by the code ``next_event`` accepts
+    with, so the state does not depend on the query history.
     """
     if kind == KIND_EXP:
-        m = len(exc[0])
-        ex = _group_decay(a3, t_ev - clock_f[CK_ANCHOR])
-        grp = a3[1]
-        col = j_ev * m
-        for i in range(len(counts)):
-            exc_i = exc[i]
-            a1_i = a1[i]
-            for k in range(m):
-                e = exc_i[k]
-                if e != 0.0:
-                    e *= ex[grp[i * m + k]]
-                exc_i[k] = e + a1_i[col + k]
+        dec = [0.0] * (len(exc) * len(exc[0]))
+        _decay(mu, a3, exc, t_ev - clock_f[CK_ANCHOR], [0.0] * len(mu), dec)
+        _add_jump(a1, exc, dec, j_ev)
     _log_event(clock_f, clock_i, counts, log_t, log_e, t_ev, j_ev)
-
-
-def _group_decay(a3, dt):
-    """``exp(-gamma_g * dt)`` for each decay group g of an exponential
-    kernel: one ``exp`` per distinct decay, the same float argument as a
-    per-slot ``exp(-a2[i, k] * dt)`` would take."""
-    decays = a3[0]
-    return [math.exp(-decays[g] * dt) for g in range(len(decays))]
 
 
 def _log_event(clock_f, clock_i, counts, log_t, log_e, t_ev, j_ev):
@@ -391,22 +417,13 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
     A candidate intensity above the bound by more than a relative
     ``BOUND_RTOL`` would bias the sampler and raises ``ValueError``.
 
-    Exponential kernels take one pass: the candidate's intensities are
-    evaluated slot by slot as in ``intensities_at``, keeping each slot's
-    decayed excitation, and an accepted event of type j writes those
-    products plus ``a1[i][j*m + k]`` into ``exc``, which is what
-    ``register_event`` would compute with a second ``exp`` pass, so the
-    bits are the same. Rows of one slot (m = 1: row-constant decay, as in
-    the shipped kernel) skip the inner slot loop, whose overhead is a
-    measurable share of a decision step; the products are the same.
-    Power-law kernels evaluate with ``intensities_at`` and register with
-    ``register_event``.
+    An exponential candidate goes through the decay pass, and an
+    accepted event writes its decayed slots plus the jumps into ``exc``,
+    as ``register_event`` does, with no second ``exp`` pass; a power-law
+    candidate goes through ``intensities_at``. Both share one accept path.
     """
     d = len(mu)
-    if kind == KIND_EXP:
-        m = len(exc[0])
-        grp = a3[1]
-        dec = [0.0] * (d * m)
+    dec = [0.0] * (d * len(exc[0]))
     while True:
         if math.isnan(clock_f[CK_PEND_T]):
             if math.isnan(clock_f[CK_BOUND]):
@@ -425,31 +442,8 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
             return t_max, -1
         lam_bar = clock_f[CK_BOUND]
         if kind == KIND_EXP:
-            ex = _group_decay(a3, t_cand - clock_f[CK_ANCHOR])
-            lam_tot = 0.0
-            if m == 1:
-                for i in range(d):
-                    e = exc[i][0]
-                    if e != 0.0:
-                        e *= ex[grp[i]]
-                        s = mu[i] + e
-                    else:
-                        s = mu[i]
-                    dec[i] = e
-                    lam_buf[i] = s
-                    lam_tot += s
-            else:
-                p = 0
-                for i in range(d):
-                    s = mu[i]
-                    for e in exc[i]:
-                        if e != 0.0:
-                            e *= ex[grp[p]]
-                            s += e
-                        dec[p] = e
-                        p += 1
-                    lam_buf[i] = s
-                    lam_tot += s
+            lam_tot = _decay(mu, a3, exc, t_cand - clock_f[CK_ANCHOR],
+                             lam_buf, dec)
         else:
             lam_tot = intensities_at(
                 kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
@@ -470,25 +464,12 @@ def next_event(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts,
                     j_ev = i
                     break
             if kind == KIND_EXP:
-                if m == 1:
-                    for i in range(d):
-                        exc[i][0] = dec[i] + a1[i][j_ev]
-                else:
-                    col = j_ev * m
-                    p = 0
-                    for i in range(d):
-                        exc_i = exc[i]
-                        a1_i = a1[i]
-                        for k in range(m):
-                            exc_i[k] = dec[p] + a1_i[col + k]
-                            p += 1
-                _log_event(clock_f, clock_i, counts, log_t, log_e, t_cand,
-                           j_ev)
-                clock_f[CK_BOUND] = lam_tot + a3[2][j_ev]
+                _add_jump(a1, exc, dec, j_ev)
+                jump = a3[2][j_ev]
             else:
-                register_event(kind, mu, a1, a2, a3, horizon, exc, clock_f,
-                               clock_i, counts, log_t, log_e, t_cand, j_ev)
-                clock_f[CK_BOUND] = lam_tot + _jump(a1, j_ev)
+                jump = _jump(a1, j_ev)
+            _log_event(clock_f, clock_i, counts, log_t, log_e, t_cand, j_ev)
+            clock_f[CK_BOUND] = lam_tot + jump
             return t_cand, j_ev
 
 

@@ -86,9 +86,6 @@ class AgentBookState:
     n_ask: Optional[int] = None
     n_bid: Optional[int] = None
 
-    def resting(self, side_ask: bool) -> bool:
-        return (self.n_ask if side_ask else self.n_bid) is not None
-
 
 @dataclass(frozen=True)
 class FillReport:

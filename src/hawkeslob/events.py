@@ -9,9 +9,6 @@ config files and checkpoints.
 
 from enum import IntEnum
 
-ASK = 1
-BID = 0
-
 # Action kind codes shared by events and impulses (kernel-level dispatch).
 KIND_LO_D = 0
 KIND_LO_T = 1

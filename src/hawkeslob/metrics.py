@@ -150,10 +150,13 @@ def evaluate_agent(env: MarketMakingEnv, agent, n_episodes: int, seed: int,
     """Evaluate over seeded episodes; reproducible bit-for-bit from seed.
 
     With ``trace_dir``, episode ``e``'s step trace is written there as
-    ``trace_<e>.csv`` (the env must record traces).
+    ``trace_<e>.csv``; the env must record traces (``record_trace``).
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    if trace_dir is not None and not env.record_trace:
+        raise ValueError("trace_dir needs an env built with "
+                         "record_trace=True")
     episodes: List[EpisodeStats] = []
     histogram: Dict[str, int] = {}
     for e in range(n_episodes):

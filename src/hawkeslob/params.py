@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import KIND_EXP, KIND_POWERLAW
 from .events import MIRROR_EVENT, N_EVENT_TYPES
 
 EXPONENTIAL = "exponential"
@@ -145,8 +146,8 @@ class KernelParams:
         clock built from it.
         """
         if self.kind == POWERLAW:
-            return 1, self.mu, self.alpha_pl, self.beta_pl, self.delta_pl, \
-                float(self.pl_horizon)
+            return KIND_POWERLAW, self.mu, self.alpha_pl, self.beta_pl, \
+                self.delta_pl, float(self.pl_horizon)
         d = self.n_types
         slots = [sorted(set(self.gamma[i][self.alpha[i] != 0.0].tolist()))
                  for i in range(d)]
@@ -172,7 +173,7 @@ class KernelParams:
             jumps.append(s)
         a3 = (np.array(decays, dtype=np.float64),
               np.array(group, dtype=np.int64), np.array(jumps))
-        return 0, self.mu, a1, a2, a3, np.inf
+        return KIND_EXP, self.mu, a1, a2, a3, np.inf
 
     @cached_property
     def clock_args(self):
@@ -183,7 +184,7 @@ class KernelParams:
         fancy-indexes. Built once per parameter set.
         """
         kind, mu, a1, a2, a3, horizon = self.kernel_args
-        if kind == 0:
+        if kind == KIND_EXP:
             a1, a2 = a1.tolist(), a2.tolist()
             a3 = [row.tolist() for row in a3]
         return kind, mu.tolist(), a1, a2, a3, horizon

@@ -74,6 +74,10 @@ class TrainerConfig:
             raise ValueError("discount must be in (0, 1]")
         if not 0.0 < self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must be in (0, 1]")
+        for name in ("beta_sil", "beta_entropy"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{getattr(self, name)}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got "
                              f"{self.learning_rate}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .book import BookInitConfig
 from .env import EpisodeConfig, MarketMakingEnv
@@ -45,10 +45,14 @@ class SweepCell:
     ablation: Optional[str] = None
 
 
-def expand_grid(grid: Dict[str, Sequence]) -> List[SweepCell]:
+def expand_grid(grid: Dict[str, list]) -> List[SweepCell]:
     unknown = set(grid) - set(SWEEP_AXES)
     if unknown:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
+    for axis, values in grid.items():
+        if not isinstance(values, list):
+            raise ValueError(f"sweep axis {axis}: values must be a list, "
+                             f"got {values!r}")
     if not all(isinstance(v, bool) for v in grid.get("sil", ())):
         raise ValueError("sil values must be true or false")
     axes = [axis for axis in SWEEP_AXES if axis in grid]
@@ -96,7 +100,7 @@ def run_cell(cell: SweepCell, kernel: KernelParams,
     }
 
 
-def run_sweep(grid: Dict[str, Sequence], episode_config: EpisodeConfig,
+def run_sweep(grid: Dict[str, list], episode_config: EpisodeConfig,
               trainer_config: TrainerConfig, init_config: BookInitConfig,
               seed: int, eval_episodes: int = 20,
               out_csv: Optional[str] = None,

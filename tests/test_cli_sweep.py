@@ -207,3 +207,10 @@ class TestSweepFailureMessage:
         assert rows[0]["status"] == \
             "failed: RuntimeError: first line second line"
         assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("value", ["12", 5, 1.0, {"a": 1}, (1.0, 2.0), None])
+def test_grid_values_must_be_a_list(value):
+    with pytest.raises(ValueError, match="sweep axis eta"):
+        expand_grid({"fee_bps": [1], "eta": value})
+    assert [c.eta for c in expand_grid({"eta": [1.0, 12]})] == [1.0, 12]

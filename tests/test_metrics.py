@@ -95,3 +95,17 @@ class TestEvaluation:
         assert len(summary.config_hash) == 16
         assert summary.mean_abs_inventory >= 0.0
         assert isinstance(summary.action_histogram, dict)
+
+
+def test_traces_need_a_recording_env(tmp_path):
+    env = MarketMakingEnv(config=EpisodeConfig(horizon=5.0))
+    with pytest.raises(ValueError, match="record_trace"):
+        evaluate_agent(env, HoldAgent(), 2, seed=1, trace_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+    recording = MarketMakingEnv(config=EpisodeConfig(horizon=5.0),
+                                record_trace=True)
+    evaluate_agent(recording, HoldAgent(), 2, seed=1,
+                   trace_dir=str(tmp_path))
+    for e in range(2):
+        lines = (tmp_path / f"trace_{e}.csv").read_text().splitlines()
+        assert len(lines) > 1

@@ -28,3 +28,16 @@ def test_zero_counts_stay_valid():
 
 def test_shipped_trainer_loads():
     assert load_app_config(None).trainer == TrainerConfig()
+
+
+@pytest.mark.parametrize("field", ["beta_sil", "beta_entropy"])
+@pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+def test_bad_loss_weight_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainerConfig(**{field: value})
+
+
+def test_zero_loss_weights_stay_valid():
+    cfg = TrainerConfig(beta_sil=0.0, beta_entropy=0.0)
+    assert (cfg.beta_sil, cfg.beta_entropy) == (0.0, 0.0)
+
