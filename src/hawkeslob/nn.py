@@ -12,6 +12,16 @@ activation (relu: a > 0, which is z > 0; tanh: 1 - a**2), so both routes
 give the same bits. Initial weights are one block of uniforms from the
 stream (``RandomStream.uniforms``), in row-major order.
 
+Every parameter lives in one float64 block, ``param_block``, in the order
+of ``get_flat``: W0, b0, W1, b1, ... Each of ``weights[i]`` and
+``biases[i]`` is a contiguous view into it, so an in-place edit of a
+layer reaches the block and the block reaches every layer. The Adam
+moments live in two blocks of the same layout, with ``adam_m`` and
+``adam_v`` the per-layer view pairs that checkpoints store. One
+``adam_step`` runs one finiteness check and one elementwise Adam pass
+over the whole block, the formula of a per-layer pass in its order, so
+it gives the same bits.
+
 The policy step runs each net on one row at a time. ``forward`` takes a
 1-d float64 row as it is, with no conversion or reshape per call and one
 width check, and each layer's activation is computed into that layer's
@@ -37,6 +47,19 @@ HEAD_SIZES = {"scalar": 1, "binary-logit": 1, "4-way-logits": 4}
 Gradients = List[Tuple[np.ndarray, np.ndarray]]
 
 
+def _layer_views(block: np.ndarray, shapes: Sequence[Tuple[int, int]]
+                 ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into ``block``, laid out W0, b0, W1, b1, ..."""
+    views = []
+    pos = 0
+    for fan_in, fan_out in shapes:
+        w = block[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        pos += fan_in * fan_out
+        views.append((w, block[pos:pos + fan_out]))
+        pos += fan_out
+    return views
+
+
 def _xavier_uniform(rng: RandomStream, fan_in: int, fan_out: int
                     ) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -53,16 +76,9 @@ class DenseNet:
                  rng: Optional[RandomStream] = None):
         self._configure(layer_sizes, activation, head, learning_rate)
         rng = rng or RandomStream(0)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1],
-                                   self.layer_sizes[1:]):
-            self.weights.append(_xavier_uniform(rng, fan_in, fan_out))
-            self.biases.append(np.zeros(fan_out))
-        self.adam_m = [(np.zeros_like(w), np.zeros_like(b))
-                       for w, b in zip(self.weights, self.biases)]
-        self.adam_v = [(np.zeros_like(w), np.zeros_like(b))
-                       for w, b in zip(self.weights, self.biases)]
+        self._allocate()
+        for w in self.weights:
+            w[:] = _xavier_uniform(rng, *w.shape)
         self.adam_t = 0
 
     def _configure(self, layer_sizes, activation, head, learning_rate):
@@ -86,6 +102,20 @@ class DenseNet:
                              f"{learning_rate}")
         self.learning_rate = learning_rate
 
+    def _allocate(self) -> None:
+        """Zeroed parameter and moment blocks, and the layer views into
+        them."""
+        shapes = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+        self.param_block = np.zeros(size)
+        self.adam_m_block = np.zeros(size)
+        self.adam_v_block = np.zeros(size)
+        pairs = _layer_views(self.param_block, shapes)
+        self.weights = [w for w, _ in pairs]
+        self.biases = [b for _, b in pairs]
+        self.adam_m = _layer_views(self.adam_m_block, shapes)
+        self.adam_v = _layer_views(self.adam_v_block, shapes)
+
     # -- forward/backward -----------------------------------------------------
 
     def _act(self, z: np.ndarray) -> np.ndarray:
@@ -93,12 +123,6 @@ class DenseNet:
         if self.activation == "relu":
             return np.maximum(z, 0.0, out=z)
         return np.tanh(z, out=z)
-
-    def _act_grad(self, a: np.ndarray) -> np.ndarray:
-        """Derivative of the activation where it output ``a``."""
-        if self.activation == "relu":
-            return (a > 0.0).astype(np.float64)
-        return 1.0 - a * a
 
     def forward(self, x: np.ndarray, keep: Optional[list] = None
                 ) -> np.ndarray:
@@ -152,35 +176,46 @@ class DenseNet:
         grads[-1] = (acts[-1].T @ g, g.sum(axis=0))
         for layer in range(len(self.weights) - 2, -1, -1):
             g = g @ self.weights[layer + 1].T
-            g = g * self._act_grad(acts[layer + 1])
+            a = acts[layer + 1]
+            if self.activation == "relu":
+                np.multiply(g, a > 0.0, out=g)
+            else:
+                g = g * (1.0 - a * a)
             grads[layer] = (acts[layer].T @ g, g.sum(axis=0))
         return grads
 
     # -- optimisation ----------------------------------------------------------
 
     def adam_step(self, grads: Gradients) -> None:
-        """One Adam update with bias correction; rejects non-finite grads."""
-        for dw, db in grads:
-            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-                raise ValueError("non-finite gradient passed to adam_step")
+        """One Adam update with bias correction, over the whole block.
+
+        ValueError, and the net unchanged, when ``grads`` does not hold one
+        (weight, bias) pair per layer in the parameters' shapes (the
+        message names the layer) or holds a non-finite value.
+        """
+        if len(grads) != len(self.weights):
+            raise ValueError(f"adam_step got {len(grads)} gradient pairs "
+                             f"for a net of {len(self.weights)} layers")
+        for layer, ((dw, db), w, b) in enumerate(
+                zip(grads, self.weights, self.biases)):
+            if np.shape(dw) != w.shape or np.shape(db) != b.shape:
+                raise ValueError(
+                    f"layer {layer} gradient shapes {np.shape(dw)} and "
+                    f"{np.shape(db)} do not match its weight {w.shape} "
+                    f"and bias {b.shape}")
+        g = self.flatten_grads(grads)
+        if not np.isfinite(g).all():
+            raise ValueError("non-finite gradient passed to adam_step")
         self.adam_t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.adam_t
         c2 = 1.0 - ADAM_BETA2 ** self.adam_t
-        for layer, (dw, db) in enumerate(grads):
-            mw, mb = self.adam_m[layer]
-            vw, vb = self.adam_v[layer]
-            mw *= ADAM_BETA1
-            mw += (1.0 - ADAM_BETA1) * dw
-            mb *= ADAM_BETA1
-            mb += (1.0 - ADAM_BETA1) * db
-            vw *= ADAM_BETA2
-            vw += (1.0 - ADAM_BETA2) * dw * dw
-            vb *= ADAM_BETA2
-            vb += (1.0 - ADAM_BETA2) * db * db
-            self.weights[layer] -= self.learning_rate * (mw / c1) / (
-                np.sqrt(vw / c2) + ADAM_EPS)
-            self.biases[layer] -= self.learning_rate * (mb / c1) / (
-                np.sqrt(vb / c2) + ADAM_EPS)
+        m, v = self.adam_m_block, self.adam_v_block
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        self.param_block -= self.learning_rate * (m / c1) / (
+            np.sqrt(v / c2) + ADAM_EPS)
 
     def zero_grads(self) -> Gradients:
         return [(np.zeros_like(w), np.zeros_like(b))
@@ -190,25 +225,19 @@ class DenseNet:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.param_block.size
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        """A copy of the parameter block."""
+        return self.param_block.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
+        """Copy ``flat`` into the parameter block; the net keeps no
+        reference to it."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.n_params:
             raise ValueError("flat parameter size mismatch")
-        pos = 0
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[layer] = flat[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-            self.biases[layer] = flat[pos:pos + b.size].copy()
-            pos += b.size
+        self.param_block[:] = flat.ravel()
 
     @staticmethod
     def flatten_grads(grads: Gradients) -> np.ndarray:
@@ -244,26 +273,31 @@ class DenseNet:
         net = cls.__new__(cls)
         net._configure(doc["layer_sizes"], doc["activation"], doc["head"],
                        doc["learning_rate"])
-        net.weights = [np.asarray(w, dtype=np.float64)
-                       for w in doc["weights"]]
-        net.biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
         sizes = net.layer_sizes
-        shapes = ([w.shape for w in net.weights],
-                  [b.shape for b in net.biases])
+        shapes = ([w.shape for w in weights], [b.shape for b in biases])
         if shapes != (list(zip(sizes[:-1], sizes[1:])),
                       [(n,) for n in sizes[1:]]):
             raise ValueError(f"weight and bias shapes {shapes} do not fit "
                              f"layer_sizes {sizes}")
+        moments = {}
         for name in ("adam_m", "adam_v"):
-            moments = [(np.asarray(mw, dtype=np.float64),
-                        np.asarray(mb, dtype=np.float64))
-                       for mw, mb in doc[name]]
-            got = [(mw.shape, mb.shape) for mw, mb in moments]
+            moments[name] = [(np.asarray(mw, dtype=np.float64),
+                              np.asarray(mb, dtype=np.float64))
+                             for mw, mb in doc[name]]
+            got = [(mw.shape, mb.shape) for mw, mb in moments[name]]
             if got != list(zip(*shapes)):
                 raise ValueError(f"{name} shapes {got} do not match the "
                                  f"weight and bias shapes {shapes}")
-            setattr(net, name, moments)
         net.adam_t = draw_count(doc["adam_t"], "adam_t")
+        net._allocate()
+        pairs = [*zip(net.weights, net.biases), *net.adam_m, *net.adam_v]
+        loaded = [*zip(weights, biases), *moments["adam_m"],
+                  *moments["adam_v"]]
+        for (w, b), (w_doc, b_doc) in zip(pairs, loaded):
+            w[:] = w_doc
+            b[:] = b_doc
         return net
 
     def save(self, path) -> None:

@@ -249,6 +249,15 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_sigmoids(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(log sigmoid(z), log sigmoid(-z)) from one log1p(exp(-|z|)), with
+    the bits of ``_log_sigmoid(z)`` and ``_log_sigmoid(-z)``."""
+    softplus = np.log1p(np.exp(-np.abs(z)))
+    neg = -softplus
+    return (np.where(z >= 0, neg, z - softplus),
+            np.where(z <= 0, neg, -z - softplus))
+
+
 def _log_sigmoid_pair(z: float) -> Tuple[float, float]:
     """(log sigmoid(z), log sigmoid(-z)) of one float, by the branches of
     ``_log_sigmoid``."""
@@ -387,8 +396,7 @@ def _policy_forward(nets: PolicyNets, feats: np.ndarray, decisions: np.ndarray,
     acts_d, acts_a = [], []
     z_d = nets.decision.forward(feats, acts_d).ravel()
     logits = nets.action.forward(feats, acts_a)
-    logsig = _log_sigmoid(z_d)
-    logsig_neg = _log_sigmoid(-z_d)
+    logsig, logsig_neg = _log_sigmoids(z_d)
     p1 = np.exp(logsig)
     logp_a = masked_log_softmax(logits, masks)
     p_a = np.where(np.isfinite(logp_a), np.exp(logp_a), 0.0)
@@ -497,18 +505,13 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
     value-head gradient): when every sampled return is at or below the
     value estimate, the gradients are exactly zero.
     """
-    empty = {
-        "decision": nets.decision.zero_grads(),
-        "action": nets.action.zero_grads(),
-        "value": nets.value.zero_grads(),
-    }
     if not entries:
-        return 0.0, empty
-    feats = np.stack([tr.features for tr in entries])
+        return 0.0, _zero_grads(nets)
+    feats = np.array([tr.features for tr in entries])
     decisions = np.array([tr.decision for tr in entries])
     actions = np.array([tr.action for tr in entries])
     rets = np.array([tr.ret for tr in entries])
-    masks = np.stack([tr.mask for tr in entries])
+    masks = np.array([tr.mask for tr in entries])
     n = len(entries)
 
     acts_d, acts_a, p1, logsig, logsig_neg, p_a, logp_a_safe, logp = \
@@ -520,7 +523,7 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
         weight = (rets > v).astype(np.float64)
     loss = float(-(weight * logp).mean())
     if not weight.any():
-        return loss, empty
+        return loss, _zero_grads(nets)
     g_logp = -weight / n
     g_zd, g_logits = _policy_logp_grads(decisions, actions, p1, p_a,
                                         g_logp)
@@ -531,6 +534,10 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
         "value": nets.value.zero_grads(),
     }
     return loss, grads
+
+
+def _zero_grads(nets: PolicyNets) -> Dict[str, Gradients]:
+    return {name: getattr(nets, name).zero_grads() for name in _HEADS}
 
 
 def _add_grads(a: Gradients, b: Gradients, coef: float) -> Gradients:
@@ -638,13 +645,13 @@ def train(kernel_params: KernelParams, episode_config: EpisodeConfig,
             buffer.add(tr)
 
         batch_all = {
-            "features": np.stack([tr.features for tr in transitions]),
+            "features": np.array([tr.features for tr in transitions]),
             "decisions": np.array([tr.decision for tr in transitions]),
             "actions": np.array([tr.action for tr in transitions]),
             "logp_old": np.array([tr.logp for tr in transitions]),
             "adv": np.array([tr.adv for tr in transitions]),
             "ret": np.array([tr.ret for tr in transitions]),
-            "masks": np.stack([tr.mask for tr in transitions]),
+            "masks": np.array([tr.mask for tr in transitions]),
         }
         if tc.normalize_advantages:
             a = batch_all["adv"]
