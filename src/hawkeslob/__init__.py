@@ -15,7 +15,7 @@ if "numpy" not in sys.modules:
 
 from .backend import BACKEND
 from .book import (AgentBookState, BookInitConfig, BookState, FillReport,
-                   QueueRedrawPolicy, apply_event, mark_to_market)
+                   apply_event, mark_to_market)
 from .env import (EpisodeConfig, MarketMakingEnv, Observation,
                   RewardBreakdown)
 from .events import EventType, Impulse, RESTRICTED_IMPULSES
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentBookState", "BACKEND", "BookInitConfig", "BookState",
     "EpisodeConfig", "EventType", "FillReport", "HawkesClock", "Impulse",
-    "KernelParams", "MarketMakingEnv", "Observation", "QueueRedrawPolicy",
-    "RESTRICTED_IMPULSES", "RandomStream", "RewardBreakdown",
-    "admissible", "admissible_mask", "apply_event", "apply_impulse",
-    "default_kernel_params", "derive_seed", "mark_to_market",
+    "KernelParams", "MarketMakingEnv", "Observation", "RESTRICTED_IMPULSES",
+    "RandomStream", "RewardBreakdown", "admissible", "admissible_mask",
+    "apply_event", "apply_impulse", "default_kernel_params", "derive_seed",
+    "mark_to_market",
 ]

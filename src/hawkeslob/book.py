@@ -25,17 +25,6 @@ from .rng import RandomStream
 
 
 @dataclass(frozen=True)
-class QueueRedrawPolicy:
-    """Promoted/replenished second-level size is 1 + Geometric(p)."""
-
-    p: float = 0.4
-
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("redraw p must be in (0, 1)")
-
-
-@dataclass(frozen=True)
 class BookState:
     """Best prices (ticks) and visible queue sizes."""
 
@@ -132,13 +121,14 @@ def unpack_state(arr: Sequence[int], cash: Sequence[float], tick: float
 
 def apply_event(book: BookState, agent: AgentBookState, e: EventType,
                 rng: RandomStream,
-                replenish: QueueRedrawPolicy = QueueRedrawPolicy(),
                 ) -> Tuple[BookState, AgentBookState, Optional[FillReport]]:
-    """Apply one exogenous event; returns the new state and any agent fill."""
+    """Apply one exogenous event; returns the new state and any agent fill.
+    A promoted or replenished queue is redrawn with the default
+    ``BookInitConfig.redraw_geom_p``."""
     arr, cash = pack_state(book, agent)
     pa_pre, pb_pre = book.p_ask, book.p_bid
     fill_code = _k.apply_exogenous(arr, cash, int(e), book.tick,
-                                   replenish.p, rng.state)
+                                   BookInitConfig.redraw_geom_p, rng.state)
     book2, agent2 = unpack_state(arr, cash, book.tick)
     fill = None
     if fill_code == 1:

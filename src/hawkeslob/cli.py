@@ -208,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--paths", type=_at_least(2), default=10_000)
     p_dyn.add_argument("--one-type", action="store_true",
                        help="use the 1-type reduction (mu=1, a=0.5, g=1)")
+    p_dyn.set_defaults(out_dir=None)  # unset: the result is only printed
     return parser
 
 
@@ -266,7 +267,7 @@ def _cmd_dynkin(args, app: AppConfig) -> int:
                           n_paths=args.paths, seed=args.seed)
     doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
     print(doc)
-    if args.out_dir != ".":
+    if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "dynkin.json"), "w") as fh:
             fh.write(doc + "\n")

@@ -55,7 +55,6 @@ class EpisodeConfig:
     initial_cash: float = 2000.0
     action_set: str = ACTION_SET_RESTRICTED
     history_window: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("eta", "kappa", "fee_bps", "initial_cash",
@@ -75,6 +74,9 @@ class EpisodeConfig:
                 f"{self.decision_dt}: an episode needs one decision")
         if min(self.eta, self.kappa, self.fee_bps) < 0:
             raise ValueError("eta, kappa and fee_bps must be >= 0")
+        if self.initial_cash <= 0:
+            raise ValueError(f"initial_cash must be > 0, got "
+                             f"{self.initial_cash}: returns are PnL over it")
         if self.action_set not in (ACTION_SET_RESTRICTED, ACTION_SET_FULL):
             raise ValueError(f"unknown action_set {self.action_set!r}")
         if self.history_window <= 0:
@@ -222,9 +224,7 @@ class MarketMakingEnv:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def reset(self, seed: Optional[int] = None) -> Observation:
-        if seed is None:
-            seed = self.config.seed
+    def reset(self, seed: int = 0) -> Observation:
         self._rng = RandomStream(derive_seed(seed, 0xE9150DE))
         self._clock = HawkesClock(self.kernel_params)
         book, agent = sample_initial_state(

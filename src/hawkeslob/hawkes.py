@@ -41,21 +41,17 @@ DEFAULT_LOG_CAPACITY = 1 << 16
 
 
 class HawkesClock:
-    """Simulation clock for one realization of the process."""
+    """Simulation clock for one realization of the process, from time 0."""
 
     def __init__(self, params: KernelParams,
-                 log_capacity: int = DEFAULT_LOG_CAPACITY,
-                 t0: float = 0.0):
+                 log_capacity: int = DEFAULT_LOG_CAPACITY):
         if log_capacity < 8:
             raise ValueError("log_capacity too small")
         self.params = params
         d = params.n_types
         m = params.n_slots
-        t0 = float(t0)
-        if not math.isfinite(t0):
-            raise ValueError(f"t0={t0} is not finite")
         exc = [[0.0] * m for _ in range(d)]
-        self.clock_f = [t0, t0, np.nan, np.nan]
+        self.clock_f = [0.0, 0.0, np.nan, np.nan]
         self.clock_i = [0, 0]
         self.counts = [0] * d
         self.lam_buf = [0.0] * d

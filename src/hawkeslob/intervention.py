@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from . import _kernels as _k
-from .book import (AgentBookState, BookState, QueueRedrawPolicy, pack_state,
+from .book import (AgentBookState, BookInitConfig, BookState, pack_state,
                    unpack_state)
 from .events import (KIND_CO_T, KIND_IS, KIND_MO, IMPULSE_KIND,
                      IMPULSE_SIDE, Impulse, N_IMPULSES, RESTRICTED_IMPULSES)
@@ -83,14 +83,14 @@ def admissible_mask(book: BookState, agent: AgentBookState,
 
 def apply_impulse(book: BookState, agent: AgentBookState, psi: Impulse,
                   rng: RandomStream,
-                  replenish: QueueRedrawPolicy = QueueRedrawPolicy(),
                   ) -> Tuple[BookState, AgentBookState, float]:
-    """State-intervention map; returns (book', agent', K)."""
+    """State-intervention map; returns (book', agent', K). A promoted
+    queue is redrawn with the default ``BookInitConfig.redraw_geom_p``."""
     arr, cash = pack_state(book, agent)
     if not admissible_arr(arr, int(psi)):
         raise InadmissibleImpulseError(
             f"impulse {Impulse(psi).name} inadmissible in current state")
     k_cash = _k.apply_impulse(arr, cash, int(psi), book.tick,
-                              replenish.p, rng.state)
+                              BookInitConfig.redraw_geom_p, rng.state)
     book2, agent2 = unpack_state(arr, cash, book.tick)
     return book2, agent2, k_cash

@@ -43,17 +43,14 @@ def annualized_sharpe(episode_pnls: Sequence[float], initial_cash: float,
     return float(returns.mean() / std * math.sqrt(n_year))
 
 
-def detect_pump_and_dump(times: Optional[Sequence[float]],
-                         inventory: Sequence[float],
-                         peak_multiple: float = 5.0,
-                         ) -> Tuple[bool, float]:
+def detect_pump_and_dump(inventory: Sequence[float]) -> Tuple[bool, float]:
     """Heuristic flag for the inflate-then-unwind inventory signature.
 
-    Flags when the early-episode |Y| peak exceeds ``peak_multiple`` times
-    the trace median |Y| and the terminal half unwinds the position
+    Flags when the early-episode |Y| peak exceeds 5 times the trace
+    median |Y| and the terminal half unwinds the position
     (net flow opposite in sign to the mid-episode inventory). The score
     is peak/median regardless of the flag. ``inventory`` is sampled on
-    the decision grid; ``times`` is not read.
+    the decision grid.
     """
     y = np.asarray(inventory, dtype=np.float64)
     if y.size < 4:
@@ -69,7 +66,7 @@ def detect_pump_and_dump(times: Optional[Sequence[float]],
     y_mid = y[half - 1]
     y_end = y[-1]
     unwinds = y_mid != 0 and (y_end - y_mid) * y_mid < 0
-    return bool(score > peak_multiple and unwinds), float(score)
+    return bool(score > 5.0 and unwinds), float(score)
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ def run_episode(env: MarketMakingEnv, agent, seed: int,
             action_counts[psi.name] = action_counts.get(psi.name, 0) + 1
         rewards.append(reward.total)
         inventory.append(obs.inventory)
-    flagged, score = detect_pump_and_dump(None, inventory)
+    flagged, score = detect_pump_and_dump(inventory)
     stats = EpisodeStats(
         episode=0, pnl=episode_pnl(env),
         mean_abs_inventory=float(np.mean(np.abs(inventory))),
@@ -233,9 +230,12 @@ def write_csv(path: str, columns: Sequence[str], rows: Iterable) -> None:
 
 
 def write_summary_json(path: str, summary: RunSummary) -> None:
+    """ValueError, and no file written, when a value is not finite (JSON
+    has no NaN or infinity)."""
+    text = json.dumps(summary.to_dict(), sort_keys=True, indent=2,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(summary.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_episodes_csv(path: str, episodes: Sequence[EpisodeStats]) -> None:

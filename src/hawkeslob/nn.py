@@ -268,7 +268,8 @@ class DenseNet:
     def from_dict(cls, doc: dict) -> "DenseNet":
         """Rebuild from ``to_dict`` output; ValueError when a weight or
         bias shape does not match ``layer_sizes``, an Adam moment's shape
-        does not match its weight or bias, or ``adam_t`` is not a
+        does not match its weight or bias, a weight, bias or moment is not
+        finite, an ``adam_v`` entry is negative, or ``adam_t`` is not a
         non-negative integer."""
         net = cls.__new__(cls)
         net._configure(doc["layer_sizes"], doc["activation"], doc["head"],
@@ -298,6 +299,13 @@ class DenseNet:
         for (w, b), (w_doc, b_doc) in zip(pairs, loaded):
             w[:] = w_doc
             b[:] = b_doc
+        for name, arrays in (("weights", net.weights), ("biases", net.biases),
+                             ("adam_m", [net.adam_m_block]),
+                             ("adam_v", [net.adam_v_block])):
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise ValueError(f"checkpoint {name} has a non-finite entry")
+        if (net.adam_v_block < 0.0).any():
+            raise ValueError("checkpoint adam_v has a negative entry")
         return net
 
     def save(self, path) -> None:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import KIND_EXP, KIND_POWERLAW
-from .events import MIRROR_EVENT, N_EVENT_TYPES
+from .events import EventType, MIRROR_EVENT, N_EVENT_TYPES
 
 EXPONENTIAL = "exponential"
 POWERLAW = "powerlaw"
@@ -290,23 +290,19 @@ def default_kernel_params(profile: str = EXPONENTIAL) -> KernelParams:
     raise ValueError(f"unknown kernel profile {profile!r}")
 
 
-def poisson_flow_params(mo_rate: float, lo_top_rate: float = 0.8,
-                        co_top_rate: float = 0.4) -> KernelParams:
-    """Poisson (zero-excitation) flow with configurable top-of-book churn.
+def poisson_flow_params(mo_rate: float) -> KernelParams:
+    """Poisson (zero-excitation) flow with a chosen market-order rate.
 
-    Ask/bid symmetric baselines with the market-order and top-queue rates
-    overridable; deep and in-spread rates keep their defaults. Used by the
-    fill-rate studies and the training smoke tests, where market orders at
-    decision cadence make queue dynamics informative within one episode.
+    Ask/bid symmetric baselines: market orders at ``mo_rate``, top-queue
+    limit orders at 0.8 and cancels at 0.4 per second, deep and
+    in-spread rates at their defaults. Used by the fill-rate studies and
+    the training smoke tests, where market orders at decision cadence
+    make queue dynamics informative within one episode.
     """
     mu = _default_mu()
-    overrides = {"MO": mo_rate, "LO_T": lo_top_rate, "CO_T": co_top_rate}
-    ask_index = {"LO_D": 0, "LO_T": 1, "CO_T": 2, "CO_D": 3, "MO": 4,
-                 "IS": 5}
-    for name, rate in overrides.items():
-        i = ask_index[name]
-        mu[i] = rate
-        mu[MIRROR_EVENT[i]] = rate
+    for i, rate in ((EventType.MO_ASK, mo_rate), (EventType.LO_ASK_T, 0.8),
+                    (EventType.CO_ASK_T, 0.4)):
+        mu[i] = mu[MIRROR_EVENT[i]] = rate
     d = N_EVENT_TYPES
     return KernelParams(kind=EXPONENTIAL, mu=mu, alpha=np.zeros((d, d)),
                         gamma=np.full((d, d), _DEFAULT_GAMMA))

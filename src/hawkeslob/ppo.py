@@ -152,13 +152,19 @@ class PolicyNets:
         self._set_features(center, scale, ablation)
 
     def _set_features(self, center, scale, ablation: str) -> None:
-        """The feature map; ValueError when it does not fit OBS_DIM."""
+        """The feature map; ValueError when it does not fit OBS_DIM, when
+        ``center`` is not finite, or when a ``scale`` entry is zero or not
+        finite."""
         for name, vec in (("center", center), ("scale", scale)):
             vec = np.asarray(vec, dtype=np.float64)
             if vec.shape != (OBS_DIM,):
                 raise ValueError(f"{name} has shape {vec.shape}, expected "
                                  f"({OBS_DIM},)")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} holds a non-finite value")
             setattr(self, name, vec)
+        if (self.scale == 0.0).any():
+            raise ValueError("scale holds a zero entry")
         if ablation not in ABLATION_CHOICES:
             raise ValueError(f"unknown ablation {ablation!r}")
         self.ablation = ablation

@@ -43,6 +43,8 @@ CandidateFunction = Callable[[float, np.ndarray, np.ndarray], float]
 
 _GEOM_TAIL = 1e-12
 
+_H_REL = 1e-4  # central-difference step, relative to max(1, |x|)
+
 
 def state_to_vector(book: BookState, agent: AgentBookState) -> np.ndarray:
     """Reduced state (X, Y, p_ask, p_bid, q_a, q_b, q_aD, q_bD, n_a, n_b).
@@ -103,7 +105,7 @@ def _branches(book: BookState, agent: AgentBookState, draws, resolved,
 
 
 def exogenous_branches(book: BookState, agent: AgentBookState, e: EventType,
-                       redraw_p: float = 0.4,
+                       redraw_p: float = BookInitConfig.redraw_geom_p,
                        ) -> List[Tuple[float, BookState, AgentBookState]]:
     """All (weight, post-state) branches of the event transition T_e."""
     kind, side = EVENT_KIND[e], EVENT_SIDE[e]
@@ -116,7 +118,7 @@ def exogenous_branches(book: BookState, agent: AgentBookState, e: EventType,
 
 
 def impulse_branches(book: BookState, agent: AgentBookState, psi: Impulse,
-                     redraw_p: float = 0.4,
+                     redraw_p: float = BookInitConfig.redraw_geom_p,
                      ) -> Tuple[List[Tuple[float, BookState, AgentBookState]],
                                 float]:
     """Branches of Gamma(., psi) plus the (branch-independent) profit K."""
@@ -135,8 +137,8 @@ def impulse_branches(book: BookState, agent: AgentBookState, psi: Impulse,
 
 def generator(phi: CandidateFunction, t: float, lam: np.ndarray,
               book: Optional[BookState], agent: Optional[AgentBookState],
-              params: KernelParams, h_rel: float = 1e-4,
-              redraw_p: float = 0.4) -> float:
+              params: KernelParams,
+              redraw_p: float = BookInitConfig.redraw_geom_p) -> float:
     """Expected instantaneous drift of phi along the uncontrolled dynamics.
 
     d_t phi + sum_i [ lam_i (E[phi(t, lam + alpha_col_i, T_i(s))] - phi)
@@ -153,7 +155,7 @@ def generator(phi: CandidateFunction, t: float, lam: np.ndarray,
     svec = state_to_vector(book, agent) if with_book else np.empty(0)
     base = phi(t, lam, svec)
 
-    h_t = h_rel * max(1.0, abs(t))
+    h_t = _H_REL * max(1.0, abs(t))
     out = (phi(t + h_t, lam, svec) - phi(t - h_t, lam, svec)) / (2.0 * h_t)
 
     for i in range(params.n_types):
@@ -167,7 +169,7 @@ def generator(phi: CandidateFunction, t: float, lam: np.ndarray,
             jump = phi(t, lam_jump, svec)
         out += lam[i] * (jump - base)
 
-        h_l = h_rel * max(1.0, abs(lam[i]))
+        h_l = _H_REL * max(1.0, abs(lam[i]))
         lam_p = lam.copy()
         lam_p[i] += h_l
         lam_m = lam.copy()
@@ -179,16 +181,14 @@ def generator(phi: CandidateFunction, t: float, lam: np.ndarray,
 
 def intervention_value(phi: CandidateFunction, t: float, lam: np.ndarray,
                        book: BookState, agent: AgentBookState,
-                       redraw_p: float = 0.4,
+                       redraw_p: float = BookInitConfig.redraw_geom_p,
                        impulses: Optional[Sequence[Impulse]] = None,
-                       include_k: bool = False) -> Tuple[float, Impulse]:
+                       ) -> Tuple[float, Impulse]:
     """sup over admissible impulses of E[phi after Gamma].
 
     The market-order cash flow K already lives inside Gamma (cash is part
-    of the post-impulse state), so the default keeps the operator free of
-    double counting; ``include_k`` adds K again for candidates whose
-    objective carries the instantaneous-profit sum as a separate term.
-    ``impulses`` restricts the admissible set (default: full alphabet).
+    of the post-impulse state), so it is not added again. ``impulses``
+    restricts the admissible set (default: full alphabet).
     Deterministic tie-break: the earliest impulse in canonical order wins.
     Raises ValueError when no impulse is admissible.
     """
@@ -198,8 +198,8 @@ def intervention_value(phi: CandidateFunction, t: float, lam: np.ndarray,
     for psi in (impulses if impulses is not None else tuple(Impulse)):
         if not admissible(book, agent, psi):
             continue
-        branches, k_cash = impulse_branches(book, agent, psi, redraw_p)
-        value = k_cash if include_k else 0.0
+        branches, _ = impulse_branches(book, agent, psi, redraw_p)
+        value = 0.0
         for w, b2, a2 in branches:
             value += w * phi(t, lam, state_to_vector(b2, a2))
         if value > best:
@@ -213,7 +213,7 @@ def intervention_value(phi: CandidateFunction, t: float, lam: np.ndarray,
 def qvi_residual(phi: CandidateFunction, t: float, lam: np.ndarray,
                  book: BookState, agent: AgentBookState,
                  params: KernelParams, eta: float,
-                 h_rel: float = 1e-4, redraw_p: float = 0.4) -> float:
+                 redraw_p: float = BookInitConfig.redraw_geom_p) -> float:
     """min of the continuation and intervention residuals.
 
     Continuation term: -(L phi + f) with running cost f = -eta Y^2 and L
@@ -221,7 +221,7 @@ def qvi_residual(phi: CandidateFunction, t: float, lam: np.ndarray,
     phi - M phi.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    gen = generator(phi, t, lam, book, agent, params, h_rel, redraw_p)
+    gen = generator(phi, t, lam, book, agent, params, redraw_p)
     f_run = -eta * float(agent.inventory) ** 2
     continuation = -(gen + f_run)
     m_phi, _ = intervention_value(phi, t, lam, book, agent, redraw_p)

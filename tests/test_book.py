@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkeslob.book import (AgentBookState, BookInitConfig, BookState,
-                            QueueRedrawPolicy, apply_event, check_invariants,
-                            mark_to_market, sample_book,
-                            sample_initial_state)
+                            apply_event, check_invariants, mark_to_market,
+                            sample_book, sample_initial_state)
 from hawkeslob.events import EventType, Impulse
 from hawkeslob.intervention import apply_impulse
 from hawkeslob.rng import RandomStream
@@ -257,7 +256,3 @@ class TestInitialSampling:
                 for _ in range(2000)]
         assert all(isinstance(v, int) for v in invs)
         assert abs(np.mean(invs)) < 3 * 2.0 / np.sqrt(len(invs))
-
-    def test_redraw_policy_validation(self):
-        with pytest.raises(ValueError):
-            QueueRedrawPolicy(p=0.0)

@@ -45,8 +45,7 @@ class TestSharpe:
 
 class TestPumpAndDump:
     def test_flat_trace_not_flagged(self):
-        times = np.arange(100) * 0.1
-        flagged, score = detect_pump_and_dump(times, np.zeros(100))
+        flagged, score = detect_pump_and_dump(np.zeros(100))
         assert not flagged
         assert score == 0.0
 
@@ -57,20 +56,20 @@ class TestPumpAndDump:
         up = np.linspace(0.0, 30.0, 5)
         tail = 30.0 * np.exp(-(t[5:] - 4.0) / 5.0)
         inv = np.concatenate([up, tail])
-        flagged, score = detect_pump_and_dump(t * 0.1, inv)
+        flagged, score = detect_pump_and_dump(inv)
         assert flagged
         assert score > 5.0
 
     def test_symmetric_small_path_not_flagged(self):
         rng = RandomStream(3)
         inv = np.array([rng.integer(3) - 1 for _ in range(100)])
-        flagged, _ = detect_pump_and_dump(np.arange(100) * 0.1, inv)
+        flagged, _ = detect_pump_and_dump(inv)
         assert not flagged
 
     def test_persistent_position_not_flagged(self):
         # builds inventory but never unwinds: no reversal
         inv = np.concatenate([np.linspace(0, 20, 50), np.full(50, 20.0)])
-        flagged, _ = detect_pump_and_dump(np.arange(100) * 0.1, inv)
+        flagged, _ = detect_pump_and_dump(inv)
         assert not flagged
 
 

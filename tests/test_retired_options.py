@@ -1,0 +1,68 @@
+"""Every settable value has a caller. The run seed is ``--seed`` alone (the
+config key ``episode.seed`` is refused by name), the queue-redraw law is
+``BookInitConfig.redraw_geom_p`` alone, and the values no program path set
+to anything but their default are gone from the signatures."""
+
+import inspect
+import json
+
+import pytest
+
+from hawkeslob import book, qvi
+from hawkeslob.book import BookInitConfig, apply_event
+from hawkeslob.cli import default_config_document, load_app_config
+from hawkeslob.env import EpisodeConfig, MarketMakingEnv
+from hawkeslob.hawkes import HawkesClock
+from hawkeslob.intervention import apply_impulse
+from hawkeslob.metrics import detect_pump_and_dump
+from hawkeslob.params import default_kernel_params, poisson_flow_params
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_episode_seed_key_is_refused_by_name(tmp_path, seed):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"episode": {"seed": seed}}))
+    with pytest.raises(ValueError, match=r"episode\.seed"):
+        load_app_config(str(path))
+
+
+def test_episode_config_has_no_seed():
+    assert "seed" not in EpisodeConfig().to_dict()
+    assert "seed" not in default_config_document()["episode"]
+
+
+def test_reset_defaults_to_seed_zero():
+    env = MarketMakingEnv(config=EpisodeConfig(horizon=1.0))
+    states = []
+    for seed in (None, 0, 987):
+        obs = env.reset() if seed is None else env.reset(seed=seed)
+        states.append((obs.vector.tolist(), env.state()))
+    assert states[0] == states[1] != states[2]
+
+
+def test_one_redraw_law():
+    assert not hasattr(book, "QueueRedrawPolicy")
+    assert _params(apply_event) == ["book", "agent", "e", "rng"]
+    assert _params(apply_impulse) == ["book", "agent", "psi", "rng"]
+    for fn in (qvi.exogenous_branches, qvi.impulse_branches, qvi.generator,
+               qvi.intervention_value, qvi.qvi_residual):
+        default = inspect.signature(fn).parameters["redraw_p"].default
+        assert default == BookInitConfig().redraw_geom_p == 0.4
+
+
+def test_retired_parameters_are_gone():
+    assert "h_rel" not in _params(qvi.generator)
+    assert "h_rel" not in _params(qvi.qvi_residual)
+    assert "include_k" not in _params(qvi.intervention_value)
+    assert _params(detect_pump_and_dump) == ["inventory"]
+    assert _params(poisson_flow_params) == ["mo_rate"]
+    assert _params(HawkesClock) == ["params", "log_capacity"]
+
+
+@pytest.mark.parametrize("profile", ["exponential", "powerlaw"])
+def test_clock_starts_at_zero(profile):
+    assert HawkesClock(default_kernel_params(profile)).now == 0.0
