@@ -16,7 +16,8 @@ config, mask):
    resting-order skew beyond ``skew_threshold``.
 
 Intensity ties resolve to the lowest event index, making the whole
-procedure deterministic.
+procedure deterministic. The tie is taken after normalizing, so two
+intensities that divide to the same probability tie.
 """
 
 from __future__ import annotations
@@ -55,19 +56,31 @@ def prob_agent_act(obs: Observation, config: ProbAgentConfig,
 
     ``mask`` is admissibility over the full canonical impulse order; any
     blocked preference falls through to the next rule, ultimately hold.
-    """
-    lam = np.asarray(obs.intensities, dtype=np.float64)
-    total = lam.sum()
-    probs = lam / total if total > 0 else np.full(len(lam), 1.0 / len(lam))
-    top_event = EventType(int(np.argmax(probs)))
 
-    if abs(obs.inventory) > config.y_max:
-        corrective = Impulse.MO_BID if obs.inventory > 0 else Impulse.MO_ASK
+    The observation vector is read once, as Python floats. The total
+    intensity is summed in numpy's pairwise order for 12 entries (the
+    first eight in two-level pairs, then the last four in turn), so the
+    total, each probability and the first-index argmax have the bits of
+    ``np.sum``, ``lam / total`` and ``np.argmax``.
+    """
+    (_, inventory, _, rel_pos_ask, rel_pos_bid, l0, l1, l2, l3, l4, l5, l6,
+     l7, l8, l9, l10, l11, *_) = obs.vector.tolist()
+    total = ((((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)))
+             + l8 + l9 + l10 + l11)
+    top_event = 0
+    if total > 0:
+        probs = [l0 / total, l1 / total, l2 / total, l3 / total, l4 / total,
+                 l5 / total, l6 / total, l7 / total, l8 / total, l9 / total,
+                 l10 / total, l11 / total]
+        top_event = probs.index(max(probs))
+
+    if abs(inventory) > config.y_max:
+        corrective = Impulse.MO_BID if inventory > 0 else Impulse.MO_ASK
         if mask[int(corrective)]:
             return 1, corrective
 
-    resting_ask = obs.rel_pos_ask >= 0.0
-    resting_bid = obs.rel_pos_bid >= 0.0
+    resting_ask = rel_pos_ask >= 0.0
+    resting_bid = rel_pos_bid >= 0.0
 
     if top_event == EventType.MO_BID:
         skew_to_bid = int(not resting_ask) + int(resting_bid)

@@ -88,10 +88,13 @@ class TrainerConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # Zero epochs collects rollouts without updating; zero episodes
-        # trains nothing.
-        for name in ("epochs_per_update", "total_episodes"):
+        # trains nothing; zero checkpoint_every writes only the final
+        # checkpoint; zero freeze_decision_updates freezes no update.
+        for name in ("epochs_per_update", "total_episodes",
+                     "checkpoint_every", "freeze_decision_updates"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes entries must be >= 1")

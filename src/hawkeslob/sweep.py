@@ -5,11 +5,12 @@ Grid axes: ``eta`` (inventory penalty), ``fee_bps`` (terminal fee),
 (observation block zeroed in the trainer). A ``kernel`` axis value picks
 that profile's default kernel; without the axis every cell runs on the
 kernel passed to ``run_sweep`` (the config's kernel). Every cell trains a
-fresh agent and evaluates it out-of-sample with seeds matched across
-cells (derived from the base seed and the evaluation stream only), so
-cells differ by the swept parameters alone. Infeasible cells are recorded
-as failed rows (``failed: <exception class>: <message>``, on one line)
-and the sweep continues.
+fresh agent on the run's book settings (``init_config``, which also sets
+the normaliser's tick) and evaluates it out-of-sample with seeds matched
+across cells (derived from the base seed and the evaluation stream
+only), so cells differ by the swept parameters alone. Infeasible cells
+are recorded as failed rows (``failed: <exception class>: <message>``,
+on one line) and the sweep continues.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def run_cell(cell: SweepCell, kernel: KernelParams,
         kernel = default_kernel_params(cell.kernel)
 
     result = train(kernel, ep_cfg, tr_cfg,
-                   seed=derive_seed(seed, 0x5CE11, cell.index))
+                   seed=derive_seed(seed, 0x5CE11, cell.index),
+                   init_config=init_config)
     env = MarketMakingEnv(kernel, ep_cfg, init_config)
     agent = CheckpointAgent(result.nets,
                             RandomStream(derive_seed(seed, 0xA9E27)))

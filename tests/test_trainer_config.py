@@ -41,3 +41,16 @@ def test_zero_loss_weights_stay_valid():
     cfg = TrainerConfig(beta_sil=0.0, beta_entropy=0.0)
     assert (cfg.beta_sil, cfg.beta_entropy) == (0.0, 0.0)
 
+
+
+@pytest.mark.parametrize("field", ["checkpoint_every",
+                                   "freeze_decision_updates"])
+@pytest.mark.parametrize("value", [-1, -5])
+def test_negative_schedule_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainerConfig(**{field: value})
+
+
+def test_zero_schedules_stay_valid():
+    cfg = TrainerConfig(checkpoint_every=0, freeze_decision_updates=0)
+    assert (cfg.checkpoint_every, cfg.freeze_decision_updates) == (0, 0)
