@@ -21,6 +21,11 @@ Book state is a list of 9 Python ints, as ``book.pack_state`` builds it::
     3 QB  bid top size               8 Y    agent inventory
     4 QAD ask second-level size
 
+The ask and the bid follow the same rules, mirrored. ``SIDE[is_ask]``
+holds one side's slots, (top size, second-level size, agent priority,
+best price), and its price step away from the spread, +1 on the ask and
+-1 on the bid, so each book rule is written once for both sides.
+
 Cash is a one-element list holding a Python float (currency). The event
 and impulse dispatch tables (``events.EVENT_KIND`` and the rest) are
 tuples of ints. The book kernels read the book only by ``x[i]``, so a
@@ -111,6 +116,8 @@ from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
 
 # --- book array slots -------------------------------------------------------
 PA, PB, QA, QB, QAD, QBD, NA, NB, YINV = 0, 1, 2, 3, 4, 5, 6, 7, 8
+# --- per side, indexed by is_ask: (top, second level, priority, price, step)
+SIDE = ((QB, QBD, NB, PB, -1), (QA, QAD, NA, PA, 1))
 # --- clock float slots ------------------------------------------------------
 CK_NOW, CK_ANCHOR, CK_PEND_T, CK_BOUND = 0, 1, 2, 3
 # --- clock int slots --------------------------------------------------------
@@ -499,23 +506,12 @@ def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
 # Book transitions
 # ---------------------------------------------------------------------------
 
-def _side_slots(is_ask):
-    """(top size, second-level size, agent priority) slots of one side."""
-    if is_ask == 1:
-        return QA, QAD, NA
-    return QB, QBD, NB
-
-
 def _promote_resolved(book, is_ask, redraw_val):
     """Second level becomes best after the top queue empties."""
-    if is_ask == 1:
-        book[PA] += 1
-        book[QA] = book[QAD]
-        book[QAD] = redraw_val
-    else:
-        book[PB] -= 1
-        book[QB] = book[QBD]
-        book[QBD] = redraw_val
+    iq, iqd, _, ip, step = SIDE[is_ask]
+    book[ip] += step
+    book[iq] = book[iqd]
+    book[iqd] = redraw_val
 
 
 def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
@@ -534,7 +530,7 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
     two-level window keeps q >= 1); a deep-resting agent order survives an
     in-spread arrival with its priority clamped to the visible window.
     """
-    iq, iqd, inn = _side_slots(is_ask)
+    iq, iqd, inn, ip, step = SIDE[is_ask]
 
     if act_kind == KIND_LO_D:
         book[iqd] += 1
@@ -547,10 +543,7 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
     if act_kind == KIND_IS:
         if book[PA] - book[PB] <= 1:
             return 0
-        if is_ask == 1:
-            book[PA] -= 1
-        else:
-            book[PB] += 1
+        book[ip] -= step
         q_prev = book[iq]
         book[iqd] = q_prev
         book[iq] = 1
@@ -594,14 +587,11 @@ def apply_exogenous_resolved(book, cash, act_kind, is_ask, tick,
     n = book[inn]
     fill = 0
     if n == 0:
-        if is_ask == 1:
-            cash[0] += book[PA] * tick
-            book[YINV] -= 1
-            fill = 1
-        else:
-            cash[0] -= book[PB] * tick
-            book[YINV] += 1
-            fill = 2
+        # The step multiplies the rounded product, so the bid's cash has
+        # the bits of ``cash - price * tick``, signed zeros included.
+        cash[0] += book[ip] * tick * step
+        book[YINV] -= step
+        fill = 2 - is_ask
         book[inn] = -1
     elif n > 0:
         book[inn] = n - 1
@@ -616,7 +606,7 @@ def exogenous_draws(book, act_kind, is_ask):
     """``(p_hit, redraw)`` of an exogenous event: a cancel-targeting
     uniform (drawn when ``p_hit`` > 0) hits with probability ``p_hit``,
     then a geometric queue redraw follows when ``redraw`` is 1."""
-    iq, iqd, inn = _side_slots(is_ask)
+    iq, iqd, inn, _, _ = SIDE[is_ask]
     q = book[iq]
     n = book[inn]
     if act_kind == KIND_CO_T:
@@ -661,7 +651,7 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
     instantaneous cash flow: zero for limit and cancel impulses, the
     trade's cash leg for market-order impulses.
     """
-    iq, iqd, inn = _side_slots(is_ask)
+    iq, iqd, inn, ip, step = SIDE[is_ask]
 
     if act_kind == KIND_LO_T:
         book[inn] = book[iq]
@@ -674,10 +664,7 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
         return 0.0
 
     if act_kind == KIND_IS:
-        if is_ask == 1:
-            book[PA] -= 1
-        else:
-            book[PB] += 1
+        book[ip] -= step
         book[iqd] = book[iq]
         book[iq] = 1
         book[inn] = 0
@@ -700,15 +687,9 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
         return 0.0
 
     # KIND_MO: consume one unit at the top of this side's queue.
-    k_cash = 0.0
-    if is_ask == 1:
-        k_cash = -book[PA] * tick
-        cash[0] += k_cash
-        book[YINV] += 1
-    else:
-        k_cash = book[PB] * tick
-        cash[0] += k_cash
-        book[YINV] -= 1
+    k_cash = -step * book[ip] * tick
+    cash[0] += k_cash
+    book[YINV] += step
     n = book[inn]
     if n > 0:
         book[inn] = n - 1
@@ -721,7 +702,7 @@ def apply_impulse_resolved(book, cash, act_kind, is_ask, tick, redraw_val):
 
 def impulse_draws(book, act_kind, is_ask):
     """``(p_hit, redraw)`` of an agent impulse; ``p_hit`` is always 0."""
-    iq, iqd, inn = _side_slots(is_ask)
+    iq, iqd, inn, _, _ = SIDE[is_ask]
     q = book[iq]
     if act_kind == KIND_CO_T:
         n = book[inn]

@@ -18,12 +18,18 @@ config, mask):
 Intensity ties resolve to the lowest event index, making the whole
 procedure deterministic. The tie is taken after normalizing, so two
 intensities that divide to the same probability tie.
+
+Rule 2 acts only under ``action_set: full``: the shipped ``restricted``
+set holds no market order, so its mask never admits ``MO_ASK`` or
+``MO_BID`` (``MarketMakingEnv._impulses``) and the inventory rule falls
+through to rules 3-5. Acceptance criterion 10 runs the agent on the full
+set.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -108,12 +114,6 @@ def random_agent_act(obs: Observation, mask: np.ndarray,
     if rng.uniform() < 0.5:
         return 1, Impulse(int(admissible[rng.integer(admissible.size)]))
     return 0, None
-
-
-class Agent(Protocol):
-    name: str
-
-    def act(self, obs: Observation, mask: np.ndarray) -> Action: ...
 
 
 class HoldAgent:

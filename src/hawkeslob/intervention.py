@@ -34,7 +34,7 @@ ALL_IDX = tuple(range(N_IMPULSES))
 RESTRICTED_IDX = tuple(int(psi) for psi in RESTRICTED_IMPULSES)
 
 # Per impulse: its action kind and the book slot of its side's priority.
-_RULE = tuple((kind, _k.NA if side else _k.NB)
+_RULE = tuple((kind, _k.SIDE[side][2])
               for kind, side in zip(IMPULSE_KIND, IMPULSE_SIDE))
 
 

@@ -56,6 +56,13 @@ class KernelParams:
             raise ValueError("mu entries must be finite and >= 0")
         d = mu.shape[0]
         if self.kind == EXPONENTIAL:
+            # The other family's parameters are refused, not dropped:
+            # ``to_dict`` (and so the config hash) would leave them out.
+            foreign = [name for name in ("alpha_pl", "beta_pl", "delta_pl")
+                       if getattr(self, name) is not None]
+            if self.pl_horizon != DEFAULT_PL_HORIZON:
+                foreign.append("pl_horizon")
+            self._refuse_foreign(foreign)
             alpha = self._matrix("alpha", self.alpha, d)
             gamma = self._matrix("gamma", self.gamma, d)
             if np.any(gamma <= 0):
@@ -63,6 +70,8 @@ class KernelParams:
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "gamma", gamma)
         elif self.kind == POWERLAW:
+            self._refuse_foreign([name for name in ("alpha", "gamma")
+                                  if getattr(self, name) is not None])
             alpha_pl = self._matrix("alpha_pl", self.alpha_pl, d)
             beta_pl = self._matrix("beta_pl", self.beta_pl, d)
             delta_pl = self._matrix("delta_pl", self.delta_pl, d)
@@ -83,6 +92,11 @@ class KernelParams:
         if not rho < 1.0:
             raise ValueError(
                 f"unstable parameters: branching spectral radius {rho:.6f} >= 1")
+
+    def _refuse_foreign(self, names) -> None:
+        if names:
+            raise ValueError(f"kernel kind {self.kind!r} takes no "
+                             f"{', '.join(names)}")
 
     @staticmethod
     def _matrix(name: str, value, d: int) -> np.ndarray:

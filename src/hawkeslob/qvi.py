@@ -78,7 +78,7 @@ def _branches(book: BookState, agent: AgentBookState, draws, resolved,
     ``draws(arr)`` is ``_k.exogenous_draws`` / ``_k.impulse_draws``;
     ``resolved(arr, cash, hit, redraw_val)`` applies the transition with
     its draws fixed, the redraw being 1 + Geometric(redraw_p). Returns the
-    (weight, book', agent') branches and what ``resolved`` returned last.
+    (weight, book', agent') branches.
     """
     arr, cash = pack_state(book, agent)
     p_hit, redraw = draws(arr)
@@ -94,14 +94,13 @@ def _branches(book: BookState, agent: AgentBookState, draws, resolved,
         w_last, v_last = redraws[-1]
         redraws[-1] = (w_last + remaining, v_last)
     branches = []
-    value = None
     for w_hit, hit in hits:
         for w_redraw, redraw_val in redraws:
             arr2, cash2 = arr.copy(), cash.copy()
-            value = resolved(arr2, cash2, hit, redraw_val)
+            resolved(arr2, cash2, hit, redraw_val)
             branches.append((w_hit * w_redraw,
                              *unpack_state(arr2, cash2, book.tick)))
-    return branches, value
+    return branches
 
 
 def exogenous_branches(book: BookState, agent: AgentBookState, e: EventType,
@@ -109,26 +108,24 @@ def exogenous_branches(book: BookState, agent: AgentBookState, e: EventType,
                        ) -> List[Tuple[float, BookState, AgentBookState]]:
     """All (weight, post-state) branches of the event transition T_e."""
     kind, side = EVENT_KIND[e], EVENT_SIDE[e]
-    branches, _ = _branches(
+    return _branches(
         book, agent, lambda arr: _k.exogenous_draws(arr, kind, side),
         lambda arr, cash, hit, rv: _k.apply_exogenous_resolved(
             arr, cash, kind, side, book.tick, hit, rv),
         redraw_p)
-    return branches
 
 
 def impulse_branches(book: BookState, agent: AgentBookState, psi: Impulse,
                      redraw_p: float = BookInitConfig.redraw_geom_p,
-                     ) -> Tuple[List[Tuple[float, BookState, AgentBookState]],
-                                float]:
-    """Branches of Gamma(., psi) plus the (branch-independent) profit K."""
+                     ) -> List[Tuple[float, BookState, AgentBookState]]:
+    """All (weight, post-state) branches of the intervention Gamma(., psi);
+    a market order's cash flow K is part of each post-state's cash."""
     kind, side = IMPULSE_KIND[psi], IMPULSE_SIDE[psi]
-    branches, k_cash = _branches(
+    return _branches(
         book, agent, lambda arr: _k.impulse_draws(arr, kind, side),
         lambda arr, cash, hit, rv: _k.apply_impulse_resolved(
             arr, cash, kind, side, book.tick, rv),
         redraw_p)
-    return branches, k_cash
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +195,8 @@ def intervention_value(phi: CandidateFunction, t: float, lam: np.ndarray,
     for psi in (impulses if impulses is not None else tuple(Impulse)):
         if not admissible(book, agent, psi):
             continue
-        branches, _ = impulse_branches(book, agent, psi, redraw_p)
         value = 0.0
-        for w, b2, a2 in branches:
+        for w, b2, a2 in impulse_branches(book, agent, psi, redraw_p):
             value += w * phi(t, lam, state_to_vector(b2, a2))
         if value > best:
             best = value

@@ -83,7 +83,7 @@ def test_impulses_sampler_matches_branches():
         for psi in Impulse:
             if not admissible(book, agent, psi):
                 continue
-            branches, _ = impulse_branches(book, agent, psi, REDRAW_P)
+            branches = impulse_branches(book, agent, psi, REDRAW_P)
             n_random += len(branches) > 1
             hits = _sampled(book, agent, lambda arr, cash, st: (
                 _k.apply_impulse(arr, cash, int(psi), book.tick, REDRAW_P,

@@ -190,7 +190,7 @@ class TestInterventionValue:
             for psi in Impulse:
                 if not admissible(book, agent, psi):
                     continue
-                branches, _ = impulse_branches(book, agent, psi)
+                branches = impulse_branches(book, agent, psi)
                 value = sum(w * phi(0.0, lam, state_to_vector(b2, a2))
                             for w, b2, a2 in branches)
                 assert best >= value - 1e-12
