@@ -16,6 +16,7 @@ documented in :mod:`hawkeslob._kernels`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,10 +61,6 @@ class BookState:
     @property
     def spread_ticks(self) -> int:
         return self.p_ask_ticks - self.p_bid_ticks
-
-    @property
-    def spread(self) -> float:
-        return self.spread_ticks * self.tick
 
 
 @dataclass(frozen=True)
@@ -167,6 +164,10 @@ class BookInitConfig:
     inventory_std: float = 2.0
 
     def __post_init__(self):
+        for name in ("p_mid_mean", "p_mid_var", "tick", "inventory_std"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("spread_geom_p", "redraw_geom_p"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
@@ -201,7 +202,7 @@ def sample_initial_state(config: BookInitConfig, rng: RandomStream,
     """Fresh episode state: sampled book, flat agent (or sampled inventory).
 
     ``sample_inventory`` draws Y ~ Normal(0, inventory_std^2) rounded to an
-    integer, the domain-sampling variant used by the residual evaluators;
+    integer, the domain-sampling variant of ``qvi.sample_reduced_state``;
     episodes start flat.
     """
     book = sample_book(config, rng)

@@ -146,10 +146,6 @@ class Observation:
         return int(self.vector.item(1))
 
     @property
-    def spread(self) -> float:
-        return self.vector.item(2)
-
-    @property
     def rel_pos_ask(self) -> float:
         return self.vector.item(3)
 

@@ -174,9 +174,8 @@ class PolicyNets:
 
     def features(self, obs: Observation) -> np.ndarray:
         """The normalised feature vector of an ``Observation``, read from
-        the vector it carries, or of any object with ``to_vector()``."""
-        vec = obs.vector if isinstance(obs, Observation) else obs.to_vector()
-        vec = (vec - self.center) / self.scale
+        the vector it carries."""
+        vec = (obs.vector - self.center) / self.scale
         if self.ablation != "none":
             lo, hi = OBS_BLOCKS[self.ablation]
             vec[lo:hi] = 0.0

@@ -1,5 +1,6 @@
-"""Generator, intervention operator and residuals for candidate value
-functions, plus Monte-Carlo Dynkin verification.
+"""The generator of the uncontrolled dynamics on candidate value
+functions, the branch enumerators behind it, domain sampling, and the
+Monte-Carlo Dynkin check.
 
 A candidate function is any callable ``phi(t, lam, s)`` returning a float,
 where ``lam`` is the intensity vector and ``s`` the reduced-state vector
@@ -13,7 +14,8 @@ the event transition (cancel targeting, geometric queue redraw on
 promotion) enter as explicitly enumerated branches with their exact
 weights. Branches and weights come from the draw rules and resolved
 transitions in ``_kernels`` (``exogenous_draws`` / ``impulse_draws``),
-which the simulator samples from too. The geometric tail beyond
+which the simulator samples from too; ``impulse_branches`` enumerates the
+market maker's impulses the same way. The geometric tail beyond
 machine-negligible mass is lumped onto the last enumerated branch so
 weights sum to one and constants are annihilated exactly. Time and
 intensity partials are central finite differences: this module verifies
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .book import (AgentBookState, BookInitConfig, BookState, pack_state,
 from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
                      EventType, Impulse, N_EVENT_TYPES)
 from .hawkes import HawkesClock
-from .intervention import admissible
 from .params import EXPONENTIAL, KernelParams
 from .rng import RandomStream, derive_seed
 
@@ -129,7 +130,7 @@ def impulse_branches(book: BookState, agent: AgentBookState, psi: Impulse,
 
 
 # ---------------------------------------------------------------------------
-# Operators
+# Generator
 # ---------------------------------------------------------------------------
 
 def generator(phi: CandidateFunction, t: float, lam: np.ndarray,
@@ -176,68 +177,8 @@ def generator(phi: CandidateFunction, t: float, lam: np.ndarray,
     return float(out)
 
 
-def intervention_value(phi: CandidateFunction, t: float, lam: np.ndarray,
-                       book: BookState, agent: AgentBookState,
-                       redraw_p: float = BookInitConfig.redraw_geom_p,
-                       impulses: Optional[Sequence[Impulse]] = None,
-                       ) -> Tuple[float, Impulse]:
-    """sup over admissible impulses of E[phi after Gamma].
-
-    The market-order cash flow K already lives inside Gamma (cash is part
-    of the post-impulse state), so it is not added again. ``impulses``
-    restricts the admissible set (default: full alphabet).
-    Deterministic tie-break: the earliest impulse in canonical order wins.
-    Raises ValueError when no impulse is admissible.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    best = -math.inf
-    best_psi: Optional[Impulse] = None
-    for psi in (impulses if impulses is not None else tuple(Impulse)):
-        if not admissible(book, agent, psi):
-            continue
-        value = 0.0
-        for w, b2, a2 in impulse_branches(book, agent, psi, redraw_p):
-            value += w * phi(t, lam, state_to_vector(b2, a2))
-        if value > best:
-            best = value
-            best_psi = psi
-    if best_psi is None:
-        raise ValueError("no admissible impulse in this state")
-    return float(best), best_psi
-
-
-def qvi_residual(phi: CandidateFunction, t: float, lam: np.ndarray,
-                 book: BookState, agent: AgentBookState,
-                 params: KernelParams, eta: float,
-                 redraw_p: float = BookInitConfig.redraw_geom_p) -> float:
-    """min of the continuation and intervention residuals.
-
-    Continuation term: -(L phi + f) with running cost f = -eta Y^2 and L
-    the full generator (time partial included). Intervention term:
-    phi - M phi.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    gen = generator(phi, t, lam, book, agent, params, redraw_p)
-    f_run = -eta * float(agent.inventory) ** 2
-    continuation = -(gen + f_run)
-    m_phi, _ = intervention_value(phi, t, lam, book, agent, redraw_p)
-    intervention = phi(t, lam, state_to_vector(book, agent)) - m_phi
-    return float(min(continuation, intervention))
-
-
-def boundary_residual(phi: CandidateFunction, horizon: float,
-                      lam: np.ndarray, book: BookState,
-                      agent: AgentBookState, kappa: float) -> float:
-    """Squared mismatch against the terminal payoff X + Y Pmid - kappa Y^2."""
-    payoff = (agent.cash + agent.inventory * book.p_mid
-              - kappa * float(agent.inventory) ** 2)
-    value = phi(horizon, np.asarray(lam, dtype=np.float64),
-                state_to_vector(book, agent))
-    return float((value - payoff) ** 2)
-
-
 # ---------------------------------------------------------------------------
-# Domain sampling for residual diagnostics
+# Domain sampling
 # ---------------------------------------------------------------------------
 
 def sample_reduced_state(config: BookInitConfig, rng: RandomStream,

@@ -51,9 +51,9 @@ def expand_grid(grid: Dict[str, list]) -> List[SweepCell]:
     if unknown:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
     for axis, values in grid.items():
-        if not isinstance(values, list):
-            raise ValueError(f"sweep axis {axis}: values must be a list, "
-                             f"got {values!r}")
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"sweep axis {axis}: values must be a "
+                             f"non-empty list, got {values!r}")
     if not all(isinstance(v, bool) for v in grid.get("sil", ())):
         raise ValueError("sil values must be true or false")
     axes = [axis for axis in SWEEP_AXES if axis in grid]

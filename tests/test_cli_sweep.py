@@ -209,7 +209,8 @@ class TestSweepFailureMessage:
         assert len(out.read_text().splitlines()) == 2
 
 
-@pytest.mark.parametrize("value", ["12", 5, 1.0, {"a": 1}, (1.0, 2.0), None])
+@pytest.mark.parametrize("value",
+                         ["12", 5, 1.0, {"a": 1}, (1.0, 2.0), None, []])
 def test_grid_values_must_be_a_list(value):
     with pytest.raises(ValueError, match="sweep axis eta"):
         expand_grid({"fee_bps": [1], "eta": value})

@@ -2,6 +2,7 @@
 name when the section is built, not at the first ``env.reset``."""
 
 import json
+import math
 
 import pytest
 
@@ -17,6 +18,11 @@ from hawkeslob.rng import RandomStream
     ({"tick": 0.0}, "tick"),
     ({"tick": -0.01}, "tick"),
     ({"inventory_std": -1.0}, "inventory_std"),
+    ({"p_mid_mean": math.inf}, "p_mid_mean"),
+    ({"p_mid_mean": math.nan}, "p_mid_mean"),
+    ({"p_mid_var": math.inf}, "p_mid_var"),
+    ({"tick": math.inf}, "tick"),
+    ({"inventory_std": math.inf}, "inventory_std"),
 ])
 def test_book_init_refuses_out_of_range(kwargs, named):
     with pytest.raises(ValueError, match=named):

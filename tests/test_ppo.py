@@ -392,9 +392,7 @@ class _RewardHackEnv:
 
     class Obs:
         inventory = 0
-
-        def to_vector(self):
-            return np.zeros(OBS_DIM)
+        vector = np.zeros(OBS_DIM)
 
     def __init__(self, n_steps=40):
         self.config = EpisodeConfig(horizon=n_steps * 0.1, fee_bps=0.0,

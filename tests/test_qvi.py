@@ -1,4 +1,4 @@
-"""Generator / intervention-operator / residual / Dynkin tests.
+"""Generator / branch-enumeration / Dynkin tests.
 
 Oracles: hand-derived closed forms for specific candidates, explicit
 transition enumeration written independently of the package's branch
@@ -13,13 +13,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hawkeslob.book import AgentBookState, BookInitConfig, BookState
-from hawkeslob.events import EventType, Impulse, RESTRICTED_IMPULSES
-from hawkeslob.intervention import apply_impulse
+from hawkeslob.events import EventType
 from hawkeslob.params import KernelParams, default_kernel_params
-from hawkeslob.qvi import (boundary_residual, dynkin_check, dynkin_reference,
-                           exogenous_branches, generator, intervention_value,
-                           qvi_residual, row_gamma, sample_intensities,
-                           sample_reduced_state, state_to_vector)
+from hawkeslob.qvi import (dynkin_check, dynkin_reference, exogenous_branches,
+                           generator, row_gamma, sample_intensities,
+                           sample_reduced_state)
 from hawkeslob.rng import RandomStream
 
 H_TOL = 10 * 1e-4  # ten finite-difference steps
@@ -130,105 +128,6 @@ class TestGenerator:
                 weights = [w for w, _, _ in exogenous_branches(book, agent,
                                                                e)]
                 assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestInterventionValue:
-    def test_zero_candidate_restricted(self):
-        book, agent = make_book(), AgentBookState(cash=2000.0)
-        best, arg = intervention_value(lambda t, l, s: 0.0, 0.0,
-                                       np.zeros(12), book, agent,
-                                       impulses=RESTRICTED_IMPULSES)
-        assert best == 0.0
-        assert arg == Impulse.LO_T_ASK  # first admissible in order
-
-    def test_single_admissible(self):
-        book, agent = make_book(), AgentBookState(cash=2000.0, n_ask=1)
-        best, arg = intervention_value(lambda t, l, s: 0.0, 0.0,
-                                       np.zeros(12), book, agent,
-                                       impulses=(Impulse.CO_T_ASK,))
-        assert arg == Impulse.CO_T_ASK
-
-    def test_no_admissible_raises(self):
-        book, agent = make_book(), AgentBookState(cash=2000.0)
-        with pytest.raises(ValueError, match="admissible"):
-            intervention_value(lambda t, l, s: 0.0, 0.0, np.zeros(12),
-                               book, agent, impulses=(Impulse.CO_T_ASK,))
-
-    def test_wealth_candidate_vs_bruteforce(self):
-        """Deterministic states (no promotions reachable): oracle applies
-        each impulse directly and takes the max."""
-        phi = lambda t, l, s: s[0] + s[1] * (s[2] + s[3]) / 2.0
-        lam = np.zeros(12)
-        for book, agent, _ in sampled_states(40, seed=7):
-            if 1 in (book.q_ask, book.q_bid, book.q_ask_d, book.q_bid_d):
-                continue
-            values = {}
-            for psi in Impulse:
-                try:
-                    b2, a2, _ = apply_impulse(book, agent, psi,
-                                              RandomStream(1))
-                except Exception:
-                    continue
-                values[psi] = phi(0.0, lam, state_to_vector(b2, a2))
-            if not values:
-                continue
-            oracle_best = max(values.values())
-            best, arg = intervention_value(phi, 0.0, lam, book, agent)
-            assert best == pytest.approx(oracle_best, abs=1e-12)
-            assert values[arg] == pytest.approx(oracle_best, abs=1e-12)
-
-    def test_sup_property_exact(self):
-        phi = lambda t, l, s: s[0] - 0.3 * s[1] ** 2 + 0.05 * s[4]
-        lam = np.zeros(12)
-        for book, agent, _ in sampled_states(40, seed=8):
-            try:
-                best, _ = intervention_value(phi, 0.0, lam, book, agent)
-            except ValueError:
-                continue
-            from hawkeslob.qvi import impulse_branches
-            from hawkeslob.intervention import admissible
-            for psi in Impulse:
-                if not admissible(book, agent, psi):
-                    continue
-                branches = impulse_branches(book, agent, psi)
-                value = sum(w * phi(0.0, lam, state_to_vector(b2, a2))
-                            for w, b2, a2 in branches)
-                assert best >= value - 1e-12
-
-
-class TestResiduals:
-    def test_boundary_zero_at_terminal_payoff(self):
-        kappa = 0.1
-        phi = lambda t, l, s: s[0] + s[1] * (s[2] + s[3]) / 2.0 \
-            - kappa * s[1] ** 2
-        for book, agent, lam in sampled_states(20, seed=9):
-            # squared residual; only float association noise is tolerated
-            assert boundary_residual(phi, 300.0, lam, book, agent,
-                                     kappa) < 1e-18
-
-    def test_zero_candidate_flat_inventory(self):
-        params = default_kernel_params()
-        book = make_book()
-        agent = AgentBookState(cash=2000.0, inventory=0)
-        lam = params.stationary_rates
-        phi = lambda t, l, s: 0.0
-        res = qvi_residual(phi, 1.0, lam, book, agent, params, eta=3.0)
-        # continuation term is -L0 - f = 0; intervention term <= 0
-        assert res <= H_TOL
-        m_phi, _ = intervention_value(phi, 1.0, lam, book, agent)
-        assert res == pytest.approx(min(0.0, -m_phi), abs=H_TOL)
-
-    def test_recompose_from_parts(self):
-        params = default_kernel_params()
-        phi = lambda t, l, s: s[0] + s[1] * (s[2] + s[3]) / 2.0
-        eta = 2.0
-        for book, agent, lam in sampled_states(10, seed=10):
-            res = qvi_residual(phi, 1.0, lam, book, agent, params, eta=eta)
-            gen = generator(phi, 1.0, lam, book, agent, params)
-            m_phi, _ = intervention_value(phi, 1.0, lam, book, agent)
-            base = phi(1.0, lam, state_to_vector(book, agent))
-            expected = min(-(gen - eta * agent.inventory ** 2), base - m_phi)
-            assert res == pytest.approx(expected, abs=1e-12)
 
 
 class TestDynkin:

@@ -48,16 +48,13 @@ def test_one_redraw_law():
     assert not hasattr(book, "QueueRedrawPolicy")
     assert _params(apply_event) == ["book", "agent", "e", "rng"]
     assert _params(apply_impulse) == ["book", "agent", "psi", "rng"]
-    for fn in (qvi.exogenous_branches, qvi.impulse_branches, qvi.generator,
-               qvi.intervention_value, qvi.qvi_residual):
+    for fn in (qvi.exogenous_branches, qvi.impulse_branches, qvi.generator):
         default = inspect.signature(fn).parameters["redraw_p"].default
         assert default == BookInitConfig().redraw_geom_p == 0.4
 
 
 def test_retired_parameters_are_gone():
     assert "h_rel" not in _params(qvi.generator)
-    assert "h_rel" not in _params(qvi.qvi_residual)
-    assert "include_k" not in _params(qvi.intervention_value)
     assert _params(detect_pump_and_dump) == ["inventory"]
     assert _params(poisson_flow_params) == ["mo_rate"]
     assert _params(HawkesClock) == ["params", "log_capacity"]
