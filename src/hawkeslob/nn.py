@@ -113,6 +113,10 @@ class DenseNet:
         pairs = _layer_views(self.param_block, shapes)
         self.weights = [w for w, _ in pairs]
         self.biases = [b for _, b in pairs]
+        # The single-row forward's layers; they stay valid because every
+        # parameter write is in place or comes through here.
+        self._hidden = tuple(pairs[:-1])
+        self._last = pairs[-1]
         self.adam_m = _layer_views(self.adam_m_block, shapes)
         self.adam_v = _layer_views(self.adam_v_block, shapes)
 
@@ -136,16 +140,26 @@ class DenseNet:
         if (keep is None and type(x) is np.ndarray and x.ndim == 1
                 and x.dtype == np.float64):
             h = x  # one row, 1-d through every layer
-            as_row = False
-            width = x.shape[0]
         else:
             x = np.asarray(x, dtype=np.float64)
             as_row = x.ndim == 1
             h = x.reshape(1, -1) if as_row else x
-            width = h.shape[1]
-        if width != self.layer_sizes[0]:
+        if h.shape[-1] != self.layer_sizes[0]:
             raise ValueError(
-                f"expected {self.layer_sizes[0]} features, got {width}")
+                f"expected {self.layer_sizes[0]} features, got {h.shape[-1]}")
+        if h.ndim == 1:
+            relu = self.activation == "relu"
+            for w, b in self._hidden:
+                h = h @ w
+                h += b
+                if relu:
+                    np.maximum(h, 0.0, out=h)
+                else:
+                    np.tanh(h, out=h)
+            w, b = self._last
+            out = h @ w
+            out += b
+            return out
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             if keep is not None:
                 keep.append(h)

@@ -33,7 +33,7 @@ from .intervention import RESTRICTED_IDX
 from .metrics import EpisodeStats, run_episode, write_csv
 from .nn import HEAD_SIZES, DenseNet, Gradients
 from .params import KernelParams
-from .rng import RandomStream, derive_seed, draw_count
+from .rng import BlockStream, RandomStream, derive_seed, draw_count
 
 N_ACTIONS = len(RESTRICTED_IMPULSES)
 SUB_MASK_IDX = np.array(RESTRICTED_IDX)
@@ -344,16 +344,24 @@ def sample_action(nets: PolicyNets, obs: Observation, mask: np.ndarray,
 def compute_gae(rewards: np.ndarray, values: np.ndarray, discount: float,
                 gae_lambda: float) -> Tuple[np.ndarray, np.ndarray]:
     """GAE advantages and returns-to-go with terminal bootstrap 0."""
+    values = np.asarray(values, dtype=np.float64)
     n = len(rewards)
     if n == 0:
         raise ValueError("empty trajectory")
-    adv = np.empty(n)
+    # Python floats: the float64 arithmetic of numpy scalars, without
+    # indexing them.
+    rs = np.asarray(rewards, dtype=np.float64).tolist()
+    vs = values.tolist()
+    decay = discount * gae_lambda
+    adv = [0.0] * n
     gae = 0.0
+    v_next = 0.0
     for i in range(n - 1, -1, -1):
-        v_next = values[i + 1] if i + 1 < n else 0.0
-        delta = rewards[i] + discount * v_next - values[i]
-        gae = delta + discount * gae_lambda * gae
+        v = vs[i]
+        gae = (rs[i] + discount * v_next - v) + decay * gae
         adv[i] = gae
+        v_next = v
+    adv = np.array(adv)
     return adv, adv + values
 
 
@@ -620,7 +628,7 @@ def train(kernel_params: KernelParams, episode_config: EpisodeConfig,
     fresh MarketMakingEnv over ``kernel_params`` is used.
     """
     tc = trainer_config
-    stream = RandomStream(derive_seed(seed, 0x7141))
+    stream = BlockStream(derive_seed(seed, 0x7141))
     center, scale = build_normalizer(kernel_params, episode_config,
                                      tick=init_config.tick)
     nets = PolicyNets(center, scale, hidden_sizes=tc.hidden_sizes,

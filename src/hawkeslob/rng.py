@@ -27,6 +27,12 @@ states to the next 2**j, so a block of n uniforms (2n words) takes
 about log2(2n) array passes. Every product is of two words below 2**32,
 so ``uint64`` arithmetic is exact. The levels are built on first use,
 only as far as a call needs; importing the package builds none.
+
+``BlockStream`` hands out its scalar uniforms from such blocks, drawn
+``BLOCK`` at a time, in the order and with the values of a plain stream
+of the same seed. PPO training draws through one; every other stream
+draws one uniform at a time, since its state words are read between
+draws.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ from . import _kernels as _k
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+# Uniforms a ``BlockStream`` draws ahead at a time. A refill costs about
+# a millisecond and lands inside one policy step; training draws one or
+# two uniforms a step, so refills land on about one step in 3000.
+BLOCK = 4096
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -202,3 +212,55 @@ class RandomStream:
         z, w, jsr, jcong = self.state
         base = z ^ (w << 16) ^ (jsr << 32) ^ (jcong << 48)
         return RandomStream(derive_seed(base, *keys))
+
+
+class BlockStream(RandomStream):
+    """A ``RandomStream`` whose ``uniform`` hands out values drawn ahead
+    with ``uniforms``, ``BLOCK`` at a time: the values of a plain stream
+    of the same seed, in the same order.
+
+    ``uniforms(n)`` takes the values drawn ahead first. ``state`` holds
+    the words after the last value drawn ahead, so ``spawn``, ``normal``
+    and ``geometric``, which read the words, raise while values are
+    pending.
+    """
+
+    __slots__ = ("_ahead",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._ahead: list = []  # pending uniforms, the next one last
+
+    def uniform(self) -> float:
+        ahead = self._ahead
+        if not ahead:
+            ahead += RandomStream.uniforms(self, BLOCK)[::-1].tolist()
+        return ahead.pop()
+
+    def uniforms(self, n: int) -> np.ndarray:
+        n = draw_count(n)
+        ahead = self._ahead
+        cut = max(len(ahead) - n, 0)
+        head = np.array(ahead[cut:][::-1], dtype=np.float64)
+        del ahead[cut:]
+        if head.size == n:
+            return head
+        return np.concatenate((head, RandomStream.uniforms(self,
+                                                           n - head.size)))
+
+    def _settled(self, what: str) -> None:
+        if self._ahead:
+            raise RuntimeError(f"{what} reads the state words, which are "
+                               f"{len(self._ahead)} uniforms ahead")
+
+    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
+        self._settled("normal")
+        return super().normal(mean, std)
+
+    def geometric(self, p: float) -> int:
+        self._settled("geometric")
+        return super().geometric(p)
+
+    def spawn(self, *keys: int) -> "RandomStream":
+        self._settled("spawn")
+        return super().spawn(*keys)
