@@ -144,12 +144,16 @@ class ProbabilisticAgent:
 
 
 class CheckpointAgent:
-    """Wraps trained policy networks; samples the stochastic policy."""
+    """Wraps trained policy networks; samples the stochastic policy.
+
+    It acts through ``nets.policy_only()``: no step runs the value net,
+    whose output nothing here reads.
+    """
 
     name = "checkpoint"
 
     def __init__(self, nets: PolicyNets, rng: RandomStream):
-        self.nets = nets
+        self.nets = nets.policy_only()
         self.rng = rng
 
     @classmethod

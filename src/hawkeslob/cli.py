@@ -289,5 +289,16 @@ def main(argv=None) -> int:
     return _COMMANDS[args.command](args, app)
 
 
+def console_main(argv=None) -> int:
+    """The ``hawkeslob`` command: ``main``, with a refused input (a
+    ``ValueError``) reported as one ``hawkeslob: error: <message>`` line
+    on stderr and exit status 2, as argparse reports its own refusals."""
+    try:
+        return main(argv)
+    except ValueError as exc:
+        print(f"hawkeslob: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -24,8 +24,13 @@ it gives the same bits.
 
 The policy step runs each net on one row at a time. ``forward`` takes a
 1-d float64 row as it is, with no conversion or reshape per call and one
-width check, and each layer's activation is computed into that layer's
-fresh output, so a row gives the same bits as the batch path.
+width check, and loops over (weight, bias) view pairs built once by
+``_allocate``, computing each activation into its layer's fresh output.
+A row gives the bits of the same row as a (1, F) batch. A batch of
+several rows does not give the bits of its rows run one at a time: the
+matrix product sums in another order, so outputs differ in the last bits,
+within 1e-12 relative (or 1e-12 of the batch's largest output, where an
+output cancels to near zero).
 """
 
 from __future__ import annotations
@@ -135,7 +140,9 @@ class DenseNet:
         A list passed as ``keep`` receives the input of every layer: the
         rows of ``x``, then each hidden activation. ``backward`` takes it
         as ``acts``. A single row given as a 1-d float64 array, with no
-        ``keep``, runs as it is, without conversion or reshape.
+        ``keep``, runs as it is, without conversion or reshape, over the
+        prebuilt layer pairs; it gives the bits of the (1, F) batch, and
+        matches a row of a larger batch only to the last bits.
         """
         if (keep is None and type(x) is np.ndarray and x.ndim == 1
                 and x.dtype == np.float64):

@@ -16,6 +16,7 @@ the recorded log-probability is log p(d=0).
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
@@ -172,6 +173,14 @@ class PolicyNets:
             raise ValueError(f"unknown ablation {ablation!r}")
         self.ablation = ablation
 
+    def policy_only(self) -> "PolicyNets":
+        """A view for acting: it shares the decision and action nets and
+        the feature map, and its ``value`` is None, so ``act`` runs no
+        value net."""
+        view = copy.copy(self)
+        view.value = None
+        return view
+
     def features(self, obs: Observation) -> np.ndarray:
         """The normalised feature vector of an ``Observation``, read from
         the vector it carries."""
@@ -283,10 +292,14 @@ def act(nets: PolicyNets, features: np.ndarray, mask: np.ndarray,
     drawn only when at least one action is admissible; the categorical
     uniform only when intervening. The heads are computed on Python
     floats, over the admissible actions only; ``_policy_forward`` is the
-    same arithmetic on batches.
+    same arithmetic on batches. The value is the value net's output for
+    this row, or nan for a ``policy_only`` view, which has no value net:
+    rollouts and checkpoint evaluation act through one, and a rollout
+    values its whole episode in one batch pass afterwards.
     """
     z_d = float(nets.decision.forward(features)[0])
-    value = float(nets.value.forward(features)[0])
+    value = (math.nan if nets.value is None
+             else float(nets.value.forward(features)[0]))
     logsig, logsig_neg = _log_sigmoid_pair(z_d)
     allowed = [k for k, ok in enumerate(mask.tolist()) if ok]
     if not allowed or rng.uniform() >= math.exp(logsig):
@@ -341,7 +354,7 @@ def sample_action(nets: PolicyNets, obs: Observation, mask: np.ndarray,
         record
 
 
-def compute_gae(rewards: np.ndarray, values: np.ndarray, discount: float,
+def compute_gae(rewards: Sequence[float], values: np.ndarray, discount: float,
                 gae_lambda: float) -> Tuple[np.ndarray, np.ndarray]:
     """GAE advantages and returns-to-go with terminal bootstrap 0."""
     values = np.asarray(values, dtype=np.float64)
@@ -595,16 +608,26 @@ class _RecordingPolicy:
 def rollout_episode(env, nets: PolicyNets, rng: RandomStream,
                     env_seed: int, discount: float = 0.999,
                     gae_lambda: float = 0.95) -> EpisodeStats:
-    """One training episode; its stats carry the GAE-labelled transitions."""
-    policy = _RecordingPolicy(nets, rng)
+    """One training episode; its stats carry the GAE-labelled transitions.
+
+    Each step acts through ``nets.policy_only()``, by ``act`` looked up
+    through this module. After the episode, one forward pass of the value
+    net over the stacked features sets every ``Transition.value``; it
+    agrees with per-row passes to the last bits, not bit for bit (see
+    ``nn``).
+    """
+    policy = _RecordingPolicy(nets.policy_only(), rng)
     stats, rewards = run_episode(env, policy, env_seed)
     transitions = policy.transitions
-    values = np.array([tr.value for tr in transitions])
-    adv, ret = compute_gae(np.array(rewards), values, discount, gae_lambda)
-    for tr, r, a, g in zip(transitions, rewards, adv, ret):
+    values = nets.value.forward(
+        np.array([tr.features for tr in transitions])).ravel()
+    adv, ret = compute_gae(rewards, values, discount, gae_lambda)
+    for tr, r, v, a, g in zip(transitions, rewards, values.tolist(),
+                              adv.tolist(), ret.tolist()):
         tr.reward = r
-        tr.adv = float(a)
-        tr.ret = float(g)
+        tr.value = v
+        tr.adv = a
+        tr.ret = g
     stats.transitions = transitions
     return stats
 

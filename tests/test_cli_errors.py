@@ -1,0 +1,42 @@
+"""A refused input ends the ``hawkeslob`` command with one error line.
+
+The console entry (``[project.scripts]`` and ``python -m hawkeslob.cli``)
+prints ``hawkeslob: error: <message>`` on stderr and exits 2, with no
+traceback; ``cli.main`` itself still raises the ``ValueError``.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hawkeslob import cli
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+EMPTY_AXIS = '{"eta": [1, 2], "fee_bps": []}'
+MESSAGE = "sweep axis fee_bps: values must be a non-empty list, got []"
+
+
+def test_refused_grid_prints_one_line_and_exits_2(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "hawkeslob.cli", "sweep", "--grid",
+         EMPTY_AXIS, "--out-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == f"hawkeslob: error: {MESSAGE}\n"
+    assert result.stdout == ""
+
+
+def test_console_entry_reports_and_main_raises(tmp_path, capsys):
+    argv = ["sweep", "--grid", EMPTY_AXIS, "--out-dir", str(tmp_path)]
+    assert cli.console_main(argv) == 2
+    assert capsys.readouterr().err == f"hawkeslob: error: {MESSAGE}\n"
+    with pytest.raises(ValueError, match="sweep axis fee_bps"):
+        cli.main(argv)
+
+
+def test_script_entry_is_the_console_entry():
+    scripts = PYPROJECT.read_text().split("[project.scripts]\n")[1]
+    assert scripts.split("\n\n")[0] == \
+        'hawkeslob = "hawkeslob.cli:console_main"'
