@@ -118,7 +118,7 @@ class DenseNet:
         pairs = _layer_views(self.param_block, shapes)
         self.weights = [w for w, _ in pairs]
         self.biases = [b for _, b in pairs]
-        # The single-row forward's layers; they stay valid because every
+        # The forward pass's layers; they stay valid because every
         # parameter write is in place or comes through here.
         self._hidden = tuple(pairs[:-1])
         self._last = pairs[-1]
@@ -127,12 +127,6 @@ class DenseNet:
 
     # -- forward/backward -----------------------------------------------------
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
-        """The activation, computed into ``z``."""
-        if self.activation == "relu":
-            return np.maximum(z, 0.0, out=z)
-        return np.tanh(z, out=z)
-
     def forward(self, x: np.ndarray, keep: Optional[list] = None
                 ) -> np.ndarray:
         """Forward pass; accepts (features,) or (batch, features).
@@ -140,43 +134,39 @@ class DenseNet:
         A list passed as ``keep`` receives the input of every layer: the
         rows of ``x``, then each hidden activation. ``backward`` takes it
         as ``acts``. A single row given as a 1-d float64 array, with no
-        ``keep``, runs as it is, without conversion or reshape, over the
-        prebuilt layer pairs; it gives the bits of the (1, F) batch, and
-        matches a row of a larger batch only to the last bits.
+        ``keep``, runs as it is, without conversion or reshape; it gives
+        the bits of the (1, F) batch, and matches a row of a larger batch
+        only to the last bits. Every pass loops over the prebuilt layer
+        pairs, with each activation computed into its layer's output.
         """
         if (keep is None and type(x) is np.ndarray and x.ndim == 1
                 and x.dtype == np.float64):
             h = x  # one row, 1-d through every layer
+            as_row = False
+            width = x.shape[0]
         else:
             x = np.asarray(x, dtype=np.float64)
             as_row = x.ndim == 1
             h = x.reshape(1, -1) if as_row else x
-        if h.shape[-1] != self.layer_sizes[0]:
+            width = h.shape[1]
+        if width != self.layer_sizes[0]:
             raise ValueError(
-                f"expected {self.layer_sizes[0]} features, got {h.shape[-1]}")
-        if h.ndim == 1:
-            relu = self.activation == "relu"
-            for w, b in self._hidden:
-                h = h @ w
-                h += b
-                if relu:
-                    np.maximum(h, 0.0, out=h)
-                else:
-                    np.tanh(h, out=h)
-            w, b = self._last
-            out = h @ w
-            out += b
-            return out
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+                f"expected {self.layer_sizes[0]} features, got {width}")
+        relu = self.activation == "relu"
+        for w, b in self._hidden:
             if keep is not None:
                 keep.append(h)
             h = h @ w
             h += b
-            self._act(h)
+            if relu:
+                np.maximum(h, 0.0, out=h)
+            else:
+                np.tanh(h, out=h)
         if keep is not None:
             keep.append(h)
-        out = h @ self.weights[-1]
-        out += self.biases[-1]
+        w, b = self._last
+        out = h @ w
+        out += b
         return out[0] if as_row else out
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray,

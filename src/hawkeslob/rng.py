@@ -30,9 +30,9 @@ only as far as a call needs; importing the package builds none.
 
 ``BlockStream`` hands out its scalar uniforms from such blocks, drawn
 ``BLOCK`` at a time, in the order and with the values of a plain stream
-of the same seed. PPO training draws through one; every other stream
-draws one uniform at a time, since its state words are read between
-draws.
+of the same seed. PPO training draws through one. Every other stream
+makes its scalar draws one at a time, because its state words are read
+between draws: the env's stream, for one, hands them to the kernels.
 """
 
 from __future__ import annotations
