@@ -23,7 +23,8 @@ import numpy as np
 from .agents import ProbAgentConfig, make_agent
 from .book import BookInitConfig
 from .env import EpisodeConfig, MarketMakingEnv
-from .metrics import evaluate_agent, write_episodes_csv, write_summary_json
+from .metrics import (evaluate_agent, read_json, write_episodes_csv,
+                      write_summary_json)
 from .params import KernelParams, default_kernel_params
 from .ppo import TrainerConfig, train
 from .qvi import dynkin_check
@@ -120,10 +121,7 @@ def _build(name: str, cls, doc):
 
 
 def load_app_config(path: Optional[str]) -> AppConfig:
-    doc = {}
-    if path:
-        with open(path) as fh:
-            doc = json.load(fh)
+    doc = read_json(path, "config") if path else {}
     unknown = [key for key in doc
                if key not in ("kernel", "kernel_profile", *SECTIONS)]
     if unknown:
@@ -245,8 +243,7 @@ def _cmd_sweep(args, app: AppConfig) -> int:
     if args.grid:
         grid = json.loads(args.grid)
     elif args.grid_file:
-        with open(args.grid_file) as fh:
-            grid = json.load(fh)
+        grid = read_json(args.grid_file, "grid file")
     rows = run_sweep(grid, app.episode, app.trainer, app.init,
                      seed=args.seed, eval_episodes=args.eval_episodes,
                      out_csv=os.path.join(args.out_dir, "sweep.csv"),

@@ -229,6 +229,17 @@ def write_csv(path: str, columns: Sequence[str], rows: Iterable) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; ValueError naming
+    ``what`` and the path when the file cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {str(path)!r}: "
+                         f"{exc.strerror or exc}") from None
+
+
 def write_summary_json(path: str, summary: RunSummary) -> None:
     """ValueError, and no file written, when a value is not finite (JSON
     has no NaN or infinity)."""

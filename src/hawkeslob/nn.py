@@ -35,7 +35,6 @@ output cancels to near zero).
 
 from __future__ import annotations
 
-import json
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -221,12 +220,22 @@ class DenseNet:
         c1 = 1.0 - ADAM_BETA1 ** self.adam_t
         c2 = 1.0 - ADAM_BETA2 ** self.adam_t
         m, v = self.adam_m_block, self.adam_v_block
+        # lr * (m / c1) / (sqrt(v / c2) + eps), each operation in the
+        # order of that formula, through one scratch array and ``g``.
+        s = np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += s
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+        s *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        self.param_block -= self.learning_rate * (m / c1) / (
-            np.sqrt(v / c2) + ADAM_EPS)
+        v += s
+        np.divide(m, c1, out=s)
+        s *= self.learning_rate
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        s /= g
+        self.param_block -= s
 
     def zero_grads(self) -> Gradients:
         return [(np.zeros_like(w), np.zeros_like(b))
@@ -318,12 +327,3 @@ class DenseNet:
         if (net.adam_v_block < 0.0).any():
             raise ValueError("checkpoint adam_v has a negative entry")
         return net
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "DenseNet":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))

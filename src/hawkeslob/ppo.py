@@ -31,7 +31,7 @@ from .env import (EpisodeConfig, MarketMakingEnv, OBS_BLOCKS, OBS_DIM,
 from .events import Impulse, RESTRICTED_IMPULSES
 from .book import BookInitConfig
 from .intervention import RESTRICTED_IDX
-from .metrics import EpisodeStats, run_episode, write_csv
+from .metrics import EpisodeStats, read_json, run_episode, write_csv
 from .nn import HEAD_SIZES, DenseNet, Gradients
 from .params import KernelParams
 from .rng import BlockStream, RandomStream, derive_seed, draw_count
@@ -230,8 +230,9 @@ class PolicyNets:
 
     @classmethod
     def load(cls, path) -> "PolicyNets":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """``from_dict`` of the file at ``path``; ValueError naming the path
+        when it cannot be read."""
+        return cls.from_dict(read_json(path, "checkpoint"))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,8 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if not any_adm.any():
         return out
     masked = np.where(mask, logits, -np.inf)
-    rows = np.flatnonzero(any_adm)
+    # Gather the admissible rows only when some row has none.
+    rows = slice(None) if any_adm.all() else np.flatnonzero(any_adm)
     m = masked[rows]
     row_max = m.max(axis=1, keepdims=True)
     shifted = m - row_max
@@ -531,35 +533,61 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
 
     The weight is the indicator 1{R > V} by default, or the positive part
     (R - V)+ with ``sil_positive_part``. V enters the weight only (no
-    value-head gradient): when every sampled return is at or below the
-    value estimate, the gradients are exactly zero.
+    value-head gradient). The value net runs over every sampled entry; a
+    row of weight 0 adds nothing to the loss or its gradient, so the
+    decision net runs forward and backward only over the rows with a
+    positive weight, and the action net only over those of them that
+    intervened. The loss is the sum over those rows divided by the number
+    of entries. When no row has a positive weight, the loss is 0.0 and the
+    gradients are exactly zero.
     """
     if not entries:
         return 0.0, _zero_grads(nets)
-    feats = np.array([tr.features for tr in entries])
-    decisions = np.array([tr.decision for tr in entries])
-    actions = np.array([tr.action for tr in entries])
-    rets = np.array([tr.ret for tr in entries])
-    masks = np.array([tr.mask for tr in entries])
     n = len(entries)
-
-    acts_d, acts_a, p1, logsig, logsig_neg, p_a, logp_a_safe, logp = \
-        _policy_forward(nets, feats, decisions, actions, masks)
+    feats = np.array([tr.features for tr in entries])
+    rets = np.array([tr.ret for tr in entries])
     v = nets.value.forward(feats).ravel()
     if config.sil_positive_part:
         weight = np.maximum(rets - v, 0.0)
     else:
         weight = (rets > v).astype(np.float64)
-    loss = float(-(weight * logp).mean())
-    if not weight.any():
-        return loss, _zero_grads(nets)
+    # Weights are >= 0, so these are the positive ones; a nan weight is
+    # kept, so that it reaches the loss.
+    rows = np.flatnonzero(weight)
+    if not rows.size:
+        return 0.0, _zero_grads(nets)
+    weight = weight[rows]
+    feats = feats[rows]
+    kept = [entries[i] for i in rows.tolist()]
+    decisions = np.array([tr.decision for tr in kept])
+    took = np.flatnonzero(decisions == 1)
+
+    acts_d = []
+    z_d = nets.decision.forward(feats, acts_d).ravel()
+    # logp is log p(d=0) until the rows that intervened are set.
+    logsig, logp = _log_sigmoids(z_d)
     g_logp = -weight / n
-    g_zd, g_logits = _policy_logp_grads(decisions, actions, p1, p_a,
-                                        g_logp)
+    if took.size:
+        actions = np.array([kept[i].action for i in took.tolist()])
+        masks = np.array([kept[i].mask for i in took.tolist()])
+        acts_a = []
+        logp_a = masked_log_softmax(
+            nets.action.forward(feats[took], acts_a), masks)
+        p_a = np.where(np.isfinite(logp_a), np.exp(logp_a), 0.0)
+        picked = np.arange(took.size), actions
+        logp[took] = logsig[took] + logp_a[picked]
+        g_logits = -p_a
+        g_logits[picked] += 1.0
+        g_logits *= g_logp[took, None]
+        grads_a = nets.action.backward(feats[took], g_logits, acts_a)
+    else:
+        grads_a = nets.action.zero_grads()
+    loss = float(-(weight * logp).sum() / n)
+    g_zd = g_logp * (decisions - np.exp(logsig))
     grads = {
         "decision": nets.decision.backward(feats, g_zd.reshape(-1, 1),
                                            acts_d),
-        "action": nets.action.backward(feats, g_logits, acts_a),
+        "action": grads_a,
         "value": nets.value.zero_grads(),
     }
     return loss, grads
@@ -570,8 +598,13 @@ def _zero_grads(nets: PolicyNets) -> Dict[str, Gradients]:
 
 
 def _add_grads(a: Gradients, b: Gradients, coef: float) -> Gradients:
-    return [(dw1 + coef * dw2, db1 + coef * db2)
-            for (dw1, db1), (dw2, db2) in zip(a, b)]
+    """``a + coef * b`` per array, written into ``b``, which is returned."""
+    for (dw1, db1), (dw2, db2) in zip(a, b):
+        dw2 *= coef
+        dw2 += dw1
+        db2 *= coef
+        db2 += db1
+    return b
 
 
 def combined_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],

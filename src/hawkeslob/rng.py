@@ -240,13 +240,14 @@ class BlockStream(RandomStream):
     def uniforms(self, n: int) -> np.ndarray:
         n = draw_count(n)
         ahead = self._ahead
-        cut = max(len(ahead) - n, 0)
-        head = np.array(ahead[cut:][::-1], dtype=np.float64)
+        if len(ahead) < n:
+            # Draw what is missing and fill the block, in one jump ahead.
+            fresh = RandomStream.uniforms(self, max(n - len(ahead), BLOCK))
+            ahead[:0] = fresh[::-1].tolist()
+        cut = len(ahead) - n
+        out = np.array(ahead[cut:][::-1], dtype=np.float64)
         del ahead[cut:]
-        if head.size == n:
-            return head
-        return np.concatenate((head, RandomStream.uniforms(self,
-                                                           n - head.size)))
+        return out
 
     def _settled(self, what: str) -> None:
         if self._ahead:
