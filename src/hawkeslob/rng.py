@@ -30,9 +30,12 @@ only as far as a call needs; importing the package builds none.
 
 ``BlockStream`` hands out its scalar uniforms from such blocks, drawn
 ``BLOCK`` at a time, in the order and with the values of a plain stream
-of the same seed. PPO training draws through one. Every other stream
-makes its scalar draws one at a time, because its state words are read
-between draws: the env's stream, for one, hands them to the kernels.
+of the same seed; its ``uniforms(n)`` draws ahead too, so that a run of
+short blocks (PPO's SIL samples and minibatch shuffles) costs one jump
+ahead per ``BLOCK`` values rather than one per call. PPO training draws
+through one. Every other stream makes its scalar draws one at a time,
+because its state words are read between draws: the env's stream, for
+one, hands them to the kernels.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 # Uniforms a ``BlockStream`` draws ahead at a time. A refill costs about
 # a millisecond and lands inside one policy step; training draws one or
-# two uniforms a step, so refills land on about one step in 3000.
+# two uniforms a step, so refills land on about one step in 3000. A jump
+# ahead of 256 values costs about a quarter of one of 4096, which is why
+# ``BlockStream.uniforms`` fills the block when it draws.
 BLOCK = 4096
 
 
@@ -219,10 +224,12 @@ class BlockStream(RandomStream):
     with ``uniforms``, ``BLOCK`` at a time: the values of a plain stream
     of the same seed, in the same order.
 
-    ``uniforms(n)`` takes the values drawn ahead first. ``state`` holds
-    the words after the last value drawn ahead, so ``spawn``, ``normal``
-    and ``geometric``, which read the words, raise while values are
-    pending.
+    ``uniforms(n)`` takes the values drawn ahead first; when fewer than
+    n are pending, it draws what is missing and fills the block in the
+    same jump ahead, ``max(n - pending, BLOCK)`` values, and leaves the
+    rest pending. ``state`` holds the words after the last value drawn
+    ahead, so ``spawn``, ``normal`` and ``geometric``, which read the
+    words, raise while values are pending.
     """
 
     __slots__ = ("_ahead",)
@@ -241,7 +248,6 @@ class BlockStream(RandomStream):
         n = draw_count(n)
         ahead = self._ahead
         if len(ahead) < n:
-            # Draw what is missing and fill the block, in one jump ahead.
             fresh = RandomStream.uniforms(self, max(n - len(ahead), BLOCK))
             ahead[:0] = fresh[::-1].tolist()
         cut = len(ahead) - n
