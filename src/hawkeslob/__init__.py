@@ -14,13 +14,12 @@ if "numpy" not in sys.modules:
         os.environ.setdefault(_var, "1")
 
 from .backend import BACKEND
-from .book import (AgentBookState, BookInitConfig, BookState, FillReport,
-                   apply_event, mark_to_market)
+from .book import AgentBookState, BookInitConfig, BookState, FillReport
 from .env import (EpisodeConfig, MarketMakingEnv, Observation,
                   RewardBreakdown)
 from .events import EventType, Impulse, RESTRICTED_IMPULSES
 from .hawkes import HawkesClock
-from .intervention import admissible, admissible_mask, apply_impulse
+from .intervention import admissible, admissible_mask
 from .params import KernelParams, default_kernel_params
 from .rng import RandomStream, derive_seed
 
@@ -31,6 +30,5 @@ __all__ = [
     "EpisodeConfig", "EventType", "FillReport", "HawkesClock", "Impulse",
     "KernelParams", "MarketMakingEnv", "Observation", "RESTRICTED_IMPULSES",
     "RandomStream", "RewardBreakdown", "admissible", "admissible_mask",
-    "apply_event", "apply_impulse", "default_kernel_params", "derive_seed",
-    "mark_to_market",
+    "default_kernel_params", "derive_seed",
 ]

@@ -1,4 +1,4 @@
-"""Two-level limit order book state and exogenous event transitions.
+"""Two-level limit order book state, its kernel layout and initial sampling.
 
 The book tracks best prices (as integer tick counts, so price invariants
 are exact), top and second-level queue sizes per side, and the agent's
@@ -7,11 +7,15 @@ priority ``n`` is the number of resting orders ahead of the agent's order
 on that side across both visible levels (``None`` when not resting); the
 agent order is in the top queue iff ``n < q`` and deep otherwise.
 
-Transition semantics follow the per-event difference equations of the
-underlying model with ask/bid mirrored signs so that the spread stays
-positive. Randomness (cancel targeting, geometric queue redraws on
-promotion) is drawn from the environment stream per the draw discipline
-documented in :mod:`hawkeslob._kernels`.
+The frozen dataclasses here are the readable form of that state.
+``pack_state`` / ``unpack_state`` convert it to and from the kernels'
+list of 9 ints and one-float cash list, the form the environment holds.
+Every exogenous event and agent impulse changes the list state through
+:mod:`hawkeslob._kernels` (``apply_exogenous``, ``apply_impulse``),
+which follow the per-event difference equations of the underlying model
+with ask/bid mirrored signs, so that the spread stays positive, and
+redraw a promoted or replenished queue with the run's
+``BookInitConfig.redraw_geom_p``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import _kernels as _k
-from .events import EventType
 from .rng import RandomStream
 
 
@@ -81,16 +84,6 @@ class FillReport:
     price: float
 
 
-def check_invariants(book: BookState, agent: AgentBookState) -> None:
-    """Raise AssertionError if any state invariant is violated."""
-    assert book.p_ask_ticks > book.p_bid_ticks, "spread must be positive"
-    assert min(book.q_ask, book.q_bid, book.q_ask_d, book.q_bid_d) >= 1
-    for n, q, qd in ((agent.n_ask, book.q_ask, book.q_ask_d),
-                     (agent.n_bid, book.q_bid, book.q_bid_d)):
-        if n is not None:
-            assert 0 <= n <= q + qd, f"priority {n} outside [0, {q + qd}]"
-
-
 def pack_state(book: BookState, agent: AgentBookState
                ) -> Tuple[List[int], List[float]]:
     """The kernels' book state (9 Python ints) and cash (``[float]``);
@@ -114,30 +107,6 @@ def unpack_state(arr: Sequence[int], cash: Sequence[float], tick: float
         n_ask=None if arr[_k.NA] < 0 else arr[_k.NA],
         n_bid=None if arr[_k.NB] < 0 else arr[_k.NB])
     return book, agent
-
-
-def apply_event(book: BookState, agent: AgentBookState, e: EventType,
-                rng: RandomStream,
-                ) -> Tuple[BookState, AgentBookState, Optional[FillReport]]:
-    """Apply one exogenous event; returns the new state and any agent fill.
-    A promoted or replenished queue is redrawn with the default
-    ``BookInitConfig.redraw_geom_p``."""
-    arr, cash = pack_state(book, agent)
-    pa_pre, pb_pre = book.p_ask, book.p_bid
-    fill_code = _k.apply_exogenous(arr, cash, int(e), book.tick,
-                                   BookInitConfig.redraw_geom_p, rng.state)
-    book2, agent2 = unpack_state(arr, cash, book.tick)
-    fill = None
-    if fill_code == 1:
-        fill = FillReport(side_ask=True, price=pa_pre)
-    elif fill_code == 2:
-        fill = FillReport(side_ask=False, price=pb_pre)
-    return book2, agent2, fill
-
-
-def mark_to_market(book: BookState, agent: AgentBookState) -> float:
-    """Cash plus inventory valued at mid."""
-    return agent.cash + agent.inventory * book.p_mid
 
 
 # ---------------------------------------------------------------------------

@@ -106,64 +106,20 @@ OBS_DIM = 7 + 2 * N_EVENT_TYPES
 class Observation:
     """RL-facing state: agent account, book summary, flow statistics.
 
-    An observation carries its vector (layout ``OBS_BLOCKS``), and the
-    fields are read from it: ``intensities`` and ``history`` are views of
-    it, the other fields Python numbers. ``to_vector()`` returns a copy.
-    The constructor packs the fields into a new vector; the environment
-    writes the vector with one numpy call and wraps it.
+    An observation carries its vector (layout ``OBS_BLOCKS``) itself, not
+    a copy; readers take ``OBS_BLOCKS`` slices of ``vector``.
+    ``inventory`` is its one field view, and ``to_vector()`` returns a
+    copy.
     """
 
     __slots__ = ("vector",)
 
-    def __init__(self, cash: float, inventory: int, spread: float,
-                 rel_pos_ask: float, rel_pos_bid: float,
-                 intensities: np.ndarray, history: np.ndarray,
-                 t_remaining: float):
-        vec = np.empty(OBS_DIM)
-        vec[0] = cash
-        vec[1] = inventory
-        vec[2] = spread
-        vec[3] = rel_pos_ask
-        vec[4] = rel_pos_bid
-        vec[5:5 + N_EVENT_TYPES] = intensities
-        vec[5 + N_EVENT_TYPES:6 + 2 * N_EVENT_TYPES] = history
-        vec[6 + 2 * N_EVENT_TYPES] = t_remaining
-        self.vector = vec
-
-    @classmethod
-    def _wrap(cls, vector: np.ndarray) -> "Observation":
-        """An observation that carries ``vector`` itself, not a copy."""
-        obs = cls.__new__(cls)
-        obs.vector = vector
-        return obs
-
-    @property
-    def cash(self) -> float:
-        return self.vector.item(0)
+    def __init__(self, vector: np.ndarray):
+        self.vector = vector
 
     @property
     def inventory(self) -> int:
         return int(self.vector.item(1))
-
-    @property
-    def rel_pos_ask(self) -> float:
-        return self.vector.item(3)
-
-    @property
-    def rel_pos_bid(self) -> float:
-        return self.vector.item(4)
-
-    @property
-    def intensities(self) -> np.ndarray:
-        return self.vector[5:5 + N_EVENT_TYPES]
-
-    @property
-    def history(self) -> np.ndarray:
-        return self.vector[5 + N_EVENT_TYPES:6 + 2 * N_EVENT_TYPES]
-
-    @property
-    def t_remaining(self) -> float:
-        return self.vector.item(6 + 2 * N_EVENT_TYPES)
 
     def to_vector(self) -> np.ndarray:
         return self.vector.copy()
@@ -271,7 +227,7 @@ class MarketMakingEnv:
         clock = self._clock
         lam = self._lam
         _k.intensities_at(*clock.state, clock.now, lam)
-        return Observation._wrap(np.array(
+        return Observation(np.array(
             [self._cash_arr[0], b[_k.YINV], (b[_k.PA] - b[_k.PB]) * self._tick,
              _rel_pos(b[_k.NA], b[_k.QA]), _rel_pos(b[_k.NB], b[_k.QB]),
              *lam, *clock.history(self.config.history_window),
@@ -355,6 +311,6 @@ def episode_pnl(env) -> float:
     """Mark-to-market wealth change net of the terminal inventory fee."""
     fee = 0.0
     if env.config.fee_bps > 0:
-        book, agent = env.state()
-        fee = env.config.fee_bps * 1e-4 * abs(agent.inventory) * book.p_mid
+        fee = env.config.fee_bps * 1e-4 * abs(env._inventory()) \
+            * env._p_mid()
     return env.mark_to_market() - env.config.initial_cash - fee

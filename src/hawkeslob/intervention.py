@@ -1,4 +1,4 @@
-"""Agent impulse alphabet: admissibility and the state-intervention map.
+"""Agent impulse alphabet: admissibility rules on the book state.
 
 Admissibility rules:
 
@@ -10,25 +10,25 @@ Admissibility rules:
 * ``MO``: the agent must not be at the front of that side's queue (it
   would trade with itself).
 
-``apply_impulse`` returns the instantaneous cash flow K: zero for limit
-and cancel impulses, the signed trade cash leg for market orders (a buy
-through the ask decreases cash and increases inventory; a sell through
-the bid mirrors). K is reported for diagnostics; rewards are computed
-from state deltas so it is never double counted.
+The state-intervention map is ``_kernels.apply_impulse``, which the
+environment calls on its list state after checking these rules. It
+returns the instantaneous cash flow K: zero for limit and cancel
+impulses, the signed trade cash leg for market orders (a buy through the
+ask decreases cash and increases inventory; a sell through the bid
+mirrors). K is already in the post-state's cash, and rewards are
+computed from state deltas, so the environment does not read it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels as _k
-from .book import (AgentBookState, BookInitConfig, BookState, pack_state,
-                   unpack_state)
+from .book import AgentBookState, BookState, pack_state
 from .events import (KIND_CO_T, KIND_IS, KIND_MO, IMPULSE_KIND,
                      IMPULSE_SIDE, Impulse, N_IMPULSES, RESTRICTED_IMPULSES)
-from .rng import RandomStream
 
 ALL_IDX = tuple(range(N_IMPULSES))
 RESTRICTED_IDX = tuple(int(psi) for psi in RESTRICTED_IMPULSES)
@@ -79,18 +79,3 @@ def admissible_mask(book: BookState, agent: AgentBookState,
     """
     return mask_arr(pack_state(book, agent)[0],
                     RESTRICTED_IDX if restricted else ALL_IDX)
-
-
-def apply_impulse(book: BookState, agent: AgentBookState, psi: Impulse,
-                  rng: RandomStream,
-                  ) -> Tuple[BookState, AgentBookState, float]:
-    """State-intervention map; returns (book', agent', K). A promoted
-    queue is redrawn with the default ``BookInitConfig.redraw_geom_p``."""
-    arr, cash = pack_state(book, agent)
-    if not admissible_arr(arr, int(psi)):
-        raise InadmissibleImpulseError(
-            f"impulse {Impulse(psi).name} inadmissible in current state")
-    k_cash = _k.apply_impulse(arr, cash, int(psi), book.tick,
-                              BookInitConfig.redraw_geom_p, rng.state)
-    book2, agent2 = unpack_state(arr, cash, book.tick)
-    return book2, agent2, k_cash

@@ -14,11 +14,9 @@ from hawkeslob.rng import RandomStream
 def make_obs(intensities=None, inventory=0, rel_ask=-1.0, rel_bid=-1.0):
     lam = np.ones(N_EVENT_TYPES) if intensities is None \
         else np.asarray(intensities, dtype=np.float64)
-    return Observation(cash=2000.0, inventory=inventory, spread=0.02,
-                       rel_pos_ask=rel_ask, rel_pos_bid=rel_bid,
-                       intensities=lam,
-                       history=np.zeros(N_EVENT_TYPES + 1),
-                       t_remaining=100.0)
+    return Observation(np.array(
+        [2000.0, inventory, 0.02, rel_ask, rel_bid, *lam,
+         *np.zeros(N_EVENT_TYPES + 1), 100.0]))
 
 
 def full_mask():

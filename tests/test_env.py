@@ -19,16 +19,21 @@ def quiet_params() -> KernelParams:
                         alpha=np.zeros((d, d)), gamma=np.ones((d, d)))
 
 
+def _block(obs, name):
+    lo, hi = OBS_BLOCKS[name]
+    return obs.vector[lo:hi]
+
+
 class TestReset:
     def test_fresh_state(self):
         env = MarketMakingEnv(config=EpisodeConfig(horizon=1.0))
         obs = env.reset(seed=1)
         assert obs.inventory == 0
-        assert obs.rel_pos_ask == -1.0 and obs.rel_pos_bid == -1.0
-        np.testing.assert_allclose(obs.intensities,
+        assert list(_block(obs, "relative-position")) == [-1.0, -1.0]
+        np.testing.assert_allclose(_block(obs, "intensity"),
                                    env.kernel_params.mu)
-        assert obs.t_remaining == 1.0
-        assert obs.cash == 2000.0
+        assert list(_block(obs, "t_remaining")) == [1.0]
+        assert list(_block(obs, "cash")) == [2000.0]
 
     def test_seed_determinism(self):
         env = MarketMakingEnv(config=EpisodeConfig(horizon=1.0))
@@ -197,9 +202,10 @@ class TestObservation:
         obs = env.reset(seed=5)
         vec = obs.to_vector()
         assert vec.shape == (OBS_DIM,)
-        lo, hi = OBS_BLOCKS["intensity"]
-        np.testing.assert_allclose(vec[lo:hi], obs.intensities)
-        assert vec[OBS_BLOCKS["t_remaining"][0]] == obs.t_remaining
+        assert np.array_equal(vec, obs.vector)
+        assert not np.shares_memory(vec, obs.vector)
+        assert list(_block(obs, "t_remaining")) == [1.0]
+        assert obs.inventory == vec[OBS_BLOCKS["inventory"][0]] == 0
 
     def test_intensities_at_least_baseline(self):
         env = MarketMakingEnv(config=EpisodeConfig(horizon=2.0))
@@ -207,7 +213,8 @@ class TestObservation:
         done = False
         while not done:
             obs, _, done = env.step(0)
-            assert np.all(obs.intensities >= env.kernel_params.mu - 1e-12)
+            assert np.all(_block(obs, "intensity")
+                          >= env.kernel_params.mu - 1e-12)
 
     def test_rel_pos_range(self):
         env = MarketMakingEnv(
@@ -217,7 +224,7 @@ class TestObservation:
         done = False
         while not done:
             obs, _, done = env.step(0)
-            for rel in (obs.rel_pos_ask, obs.rel_pos_bid):
+            for rel in _block(obs, "relative-position"):
                 assert rel == -1.0 or 0.0 <= rel <= 1.0
 
     def test_bad_config_rejected(self):

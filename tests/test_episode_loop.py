@@ -7,8 +7,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from book_steps import check_invariants
 from hawkeslob.agents import CheckpointAgent
-from hawkeslob.book import check_invariants
 from hawkeslob.cli import main
 from hawkeslob.env import ACTION_SET_FULL, EpisodeConfig, MarketMakingEnv
 from hawkeslob.events import Impulse, N_IMPULSES
@@ -103,7 +103,7 @@ def test_step_accepts_exactly_the_admissible_impulses(seed, draws):
             _, reward, done = env.step(1, Impulse(draw))
         else:
             _, reward, done = env.step(0)
-        check_invariants(*env.state())
+        check_invariants(env._book_arr)
         assert done == (k == N_STEPS - 1)
         total += (reward.inventory_penalty + reward.cash_delta
                   + reward.inventory_value_delta

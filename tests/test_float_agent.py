@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from hawkeslob import ppo
 from hawkeslob.agents import CheckpointAgent, ProbAgentConfig, prob_agent_act
-from hawkeslob.env import EpisodeConfig, MarketMakingEnv, Observation
+from hawkeslob.env import (OBS_BLOCKS, EpisodeConfig, MarketMakingEnv,
+                           Observation)
 from hawkeslob.events import EventType, Impulse, N_EVENT_TYPES, N_IMPULSES
 from hawkeslob.metrics import run_episode
 from hawkeslob.params import default_kernel_params
@@ -25,7 +26,8 @@ from hawkeslob.rng import RandomStream
 
 def numpy_prob_agent_act(obs, config, mask):
     """``prob_agent_act`` as it was: numpy sum, division and argmax."""
-    lam = np.asarray(obs.intensities, dtype=np.float64)
+    lo, hi = OBS_BLOCKS["intensity"]
+    lam = obs.vector[lo:hi]
     total = lam.sum()
     probs = lam / total if total > 0 else np.full(len(lam), 1.0 / len(lam))
     top_event = EventType(int(np.argmax(probs)))
@@ -35,8 +37,9 @@ def numpy_prob_agent_act(obs, config, mask):
         if mask[int(corrective)]:
             return 1, corrective
 
-    resting_ask = obs.rel_pos_ask >= 0.0
-    resting_bid = obs.rel_pos_bid >= 0.0
+    lo, _ = OBS_BLOCKS["relative-position"]
+    resting_ask = obs.vector[lo] >= 0.0
+    resting_bid = obs.vector[lo + 1] >= 0.0
 
     if top_event == EventType.MO_BID:
         skew_to_bid = int(not resting_ask) + int(resting_bid)
@@ -56,11 +59,9 @@ def numpy_prob_agent_act(obs, config, mask):
 
 
 def make_obs(lam, inventory=0, rel_ask=-1.0, rel_bid=-1.0):
-    return Observation(cash=2000.0, inventory=inventory, spread=0.02,
-                       rel_pos_ask=rel_ask, rel_pos_bid=rel_bid,
-                       intensities=np.asarray(lam, dtype=np.float64),
-                       history=np.zeros(N_EVENT_TYPES + 1),
-                       t_remaining=10.0)
+    return Observation(np.array(
+        [2000.0, inventory, 0.02, rel_ask, rel_bid, *lam,
+         *np.zeros(N_EVENT_TYPES + 1), 10.0], dtype=np.float64))
 
 
 def assert_same(obs, config, mask):

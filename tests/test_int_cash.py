@@ -3,10 +3,10 @@ other: fills and market orders are not truncated to whole units."""
 
 import json
 
+from book_steps import impulse
 from hawkeslob.book import AgentBookState, BookState
 from hawkeslob.cli import main
 from hawkeslob.events import Impulse
-from hawkeslob.intervention import apply_impulse
 from hawkeslob.rng import RandomStream
 
 BOOK = BookState(p_ask_ticks=20002, p_bid_ticks=20000, q_ask=3, q_bid=2,
@@ -14,10 +14,10 @@ BOOK = BookState(p_ask_ticks=20002, p_bid_ticks=20000, q_ask=3, q_bid=2,
 
 
 def test_market_order_on_integer_cash_keeps_the_cents():
-    _, agent, k_cash = apply_impulse(BOOK, AgentBookState(cash=2000),
-                                     Impulse.MO_ASK, RandomStream(1))
-    _, ref, k_ref = apply_impulse(BOOK, AgentBookState(cash=2000.0),
-                                  Impulse.MO_ASK, RandomStream(1))
+    _, agent, k_cash = impulse(BOOK, AgentBookState(cash=2000),
+                               Impulse.MO_ASK, RandomStream(1))
+    _, ref, k_ref = impulse(BOOK, AgentBookState(cash=2000.0),
+                            Impulse.MO_ASK, RandomStream(1))
     assert k_cash == k_ref == -20002 * 0.01
     assert agent.cash == ref.cash == 2000.0 + k_ref
     assert round(agent.cash, 2) == 1799.98

@@ -1,21 +1,25 @@
 """Every settable value has a caller. The run seed is ``--seed`` alone (the
 config key ``episode.seed`` is refused by name), the queue-redraw law is
-``BookInitConfig.redraw_geom_p`` alone, and the values no program path set
-to anything but their default are gone from the signatures."""
+``BookInitConfig.redraw_geom_p`` alone and reaches every book transition
+the environment makes, and the values no program path set to anything but
+their default are gone from the signatures."""
 
 import inspect
 import json
 
 import pytest
 
-from hawkeslob import book, qvi
-from hawkeslob.book import BookInitConfig, apply_event
+import hawkeslob
+from hawkeslob import _kernels as _k
+from hawkeslob import book, intervention, qvi
+from hawkeslob.agents import RandomAgent
+from hawkeslob.book import BookInitConfig
 from hawkeslob.cli import default_config_document, load_app_config
-from hawkeslob.env import EpisodeConfig, MarketMakingEnv
+from hawkeslob.env import ACTION_SET_FULL, EpisodeConfig, MarketMakingEnv
 from hawkeslob.hawkes import HawkesClock
-from hawkeslob.intervention import apply_impulse
-from hawkeslob.metrics import detect_pump_and_dump
+from hawkeslob.metrics import detect_pump_and_dump, run_episode
 from hawkeslob.params import default_kernel_params, poisson_flow_params
+from hawkeslob.rng import RandomStream
 
 
 def _params(fn):
@@ -46,11 +50,36 @@ def test_reset_defaults_to_seed_zero():
 
 def test_one_redraw_law():
     assert not hasattr(book, "QueueRedrawPolicy")
-    assert _params(apply_event) == ["book", "agent", "e", "rng"]
-    assert _params(apply_impulse) == ["book", "agent", "psi", "rng"]
+    # No object-level copy of the transitions, with its own redraw law.
+    assert not hasattr(book, "apply_event")
+    assert not hasattr(book, "mark_to_market")
+    assert not hasattr(intervention, "apply_impulse")
+    for name in ("apply_event", "apply_impulse", "mark_to_market"):
+        assert name not in hawkeslob.__all__
+        assert not hasattr(hawkeslob, name)
     for fn in (qvi.exogenous_branches, qvi.impulse_branches, qvi.generator):
         default = inspect.signature(fn).parameters["redraw_p"].default
         assert default == BookInitConfig().redraw_geom_p == 0.4
+
+
+def test_env_transitions_take_the_run_redraw_law(monkeypatch):
+    seen = {}
+    for name in ("advance_interval", "apply_exogenous", "apply_impulse"):
+        original = getattr(_k, name)
+        signature = inspect.signature(original)
+
+        def spy(*args, _original=original, _signature=signature, _name=name):
+            seen.setdefault(_name, set()).add(
+                _signature.bind(*args).arguments["redraw_p"])
+            return _original(*args)
+
+        monkeypatch.setattr(_k, name, spy)
+    env = MarketMakingEnv(
+        config=EpisodeConfig(horizon=5.0, action_set=ACTION_SET_FULL),
+        init_config=BookInitConfig(redraw_geom_p=0.25))
+    run_episode(env, RandomAgent(RandomStream(1)), seed=2)
+    assert seen == {"advance_interval": {0.25}, "apply_exogenous": {0.25},
+                    "apply_impulse": {0.25}}
 
 
 def test_retired_parameters_are_gone():
