@@ -1,4 +1,7 @@
-"""Non-learning benchmark policies and the checkpoint-policy wrapper.
+"""Non-learning benchmark policies and the agent factory.
+
+``CheckpointAgent``, the trained policy's agent, lives in ``ppo`` beside
+the rollouts that record through it, and is re-exported here.
 
 The probabilistic agent reads the current intensity vector as a
 distribution over the next event type and reacts to anticipated market
@@ -35,7 +38,7 @@ import numpy as np
 
 from .env import Observation
 from .events import EventType, Impulse
-from .ppo import PolicyNets, sample_action
+from .ppo import CheckpointAgent
 from .rng import RandomStream
 
 Action = Tuple[int, Optional[Impulse]]
@@ -56,66 +59,6 @@ class ProbAgentConfig:
         return asdict(self)
 
 
-def prob_agent_act(obs: Observation, config: ProbAgentConfig,
-                   mask: np.ndarray) -> Action:
-    """Deterministic decision procedure described in the module docstring.
-
-    ``mask`` is admissibility over the full canonical impulse order; any
-    blocked preference falls through to the next rule, ultimately hold.
-
-    The observation vector is read once, as Python floats. The total
-    intensity is summed in numpy's pairwise order for 12 entries (the
-    first eight in two-level pairs, then the last four in turn), so the
-    total, each probability and the first-index argmax have the bits of
-    ``np.sum``, ``lam / total`` and ``np.argmax``.
-    """
-    (_, inventory, _, rel_pos_ask, rel_pos_bid, l0, l1, l2, l3, l4, l5, l6,
-     l7, l8, l9, l10, l11, *_) = obs.vector.tolist()
-    total = ((((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)))
-             + l8 + l9 + l10 + l11)
-    top_event = 0
-    if total > 0:
-        probs = [l0 / total, l1 / total, l2 / total, l3 / total, l4 / total,
-                 l5 / total, l6 / total, l7 / total, l8 / total, l9 / total,
-                 l10 / total, l11 / total]
-        top_event = probs.index(max(probs))
-
-    if abs(inventory) > config.y_max:
-        corrective = Impulse.MO_BID if inventory > 0 else Impulse.MO_ASK
-        if mask[int(corrective)]:
-            return 1, corrective
-
-    resting_ask = rel_pos_ask >= 0.0
-    resting_bid = rel_pos_bid >= 0.0
-
-    if top_event == EventType.MO_BID:
-        skew_to_bid = int(not resting_ask) + int(resting_bid)
-        if skew_to_bid < config.skew_threshold + 1:
-            if not resting_bid and mask[int(Impulse.LO_T_BID)]:
-                return 1, Impulse.LO_T_BID
-            if resting_ask and mask[int(Impulse.CO_T_ASK)]:
-                return 1, Impulse.CO_T_ASK
-    elif top_event == EventType.MO_ASK:
-        skew_to_ask = int(not resting_bid) + int(resting_ask)
-        if skew_to_ask < config.skew_threshold + 1:
-            if not resting_ask and mask[int(Impulse.LO_T_ASK)]:
-                return 1, Impulse.LO_T_ASK
-            if resting_bid and mask[int(Impulse.CO_T_BID)]:
-                return 1, Impulse.CO_T_BID
-    return 0, None
-
-
-def random_agent_act(obs: Observation, mask: np.ndarray,
-                     rng: RandomStream) -> Action:
-    """Intervene with probability 1/2, uniformly over admissible impulses."""
-    admissible = np.flatnonzero(mask)
-    if admissible.size == 0:
-        return 0, None
-    if rng.uniform() < 0.5:
-        return 1, Impulse(int(admissible[rng.integer(admissible.size)]))
-    return 0, None
-
-
 class HoldAgent:
     name = "hold"
 
@@ -130,7 +73,15 @@ class RandomAgent:
         self.rng = rng
 
     def act(self, obs: Observation, mask: np.ndarray) -> Action:
-        return random_agent_act(obs, mask, self.rng)
+        """Intervene with probability 1/2, uniformly over admissible
+        impulses."""
+        rng = self.rng
+        admissible = np.flatnonzero(mask)
+        if admissible.size == 0:
+            return 0, None
+        if rng.uniform() < 0.5:
+            return 1, Impulse(int(admissible[rng.integer(admissible.size)]))
+        return 0, None
 
 
 class ProbabilisticAgent:
@@ -140,28 +91,53 @@ class ProbabilisticAgent:
         self.config = config
 
     def act(self, obs: Observation, mask: np.ndarray) -> Action:
-        return prob_agent_act(obs, self.config, mask)
+        """The deterministic procedure of the module docstring.
 
+        ``mask`` is admissibility over the full canonical impulse order;
+        any blocked preference falls through to the next rule, ultimately
+        hold.
 
-class CheckpointAgent:
-    """Wraps trained policy networks; samples the stochastic policy.
+        The observation vector is read once, as Python floats. The total
+        intensity is summed in numpy's pairwise order for 12 entries (the
+        first eight in two-level pairs, then the last four in turn), so
+        the total, each probability and the first-index argmax have the
+        bits of ``np.sum``, ``lam / total`` and ``np.argmax``.
+        """
+        config = self.config
+        (_, inventory, _, rel_pos_ask, rel_pos_bid, l0, l1, l2, l3, l4, l5,
+         l6, l7, l8, l9, l10, l11, *_) = obs.vector.tolist()
+        total = ((((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)))
+                 + l8 + l9 + l10 + l11)
+        top_event = 0
+        if total > 0:
+            probs = [l0 / total, l1 / total, l2 / total, l3 / total,
+                     l4 / total, l5 / total, l6 / total, l7 / total,
+                     l8 / total, l9 / total, l10 / total, l11 / total]
+            top_event = probs.index(max(probs))
 
-    It acts through ``nets.policy_only()``: no step runs the value net,
-    whose output nothing here reads.
-    """
+        if abs(inventory) > config.y_max:
+            corrective = Impulse.MO_BID if inventory > 0 else Impulse.MO_ASK
+            if mask[int(corrective)]:
+                return 1, corrective
 
-    name = "checkpoint"
+        resting_ask = rel_pos_ask >= 0.0
+        resting_bid = rel_pos_bid >= 0.0
 
-    def __init__(self, nets: PolicyNets, rng: RandomStream):
-        self.nets = nets.policy_only()
-        self.rng = rng
-
-    @classmethod
-    def load(cls, path: str, rng: RandomStream) -> "CheckpointAgent":
-        return cls(PolicyNets.load(path), rng)
-
-    def act(self, obs: Observation, mask: np.ndarray) -> Action:
-        return sample_action(self.nets, obs, mask, self.rng)[0]
+        if top_event == EventType.MO_BID:
+            skew_to_bid = int(not resting_ask) + int(resting_bid)
+            if skew_to_bid < config.skew_threshold + 1:
+                if not resting_bid and mask[int(Impulse.LO_T_BID)]:
+                    return 1, Impulse.LO_T_BID
+                if resting_ask and mask[int(Impulse.CO_T_ASK)]:
+                    return 1, Impulse.CO_T_ASK
+        elif top_event == EventType.MO_ASK:
+            skew_to_ask = int(not resting_bid) + int(resting_ask)
+            if skew_to_ask < config.skew_threshold + 1:
+                if not resting_ask and mask[int(Impulse.LO_T_ASK)]:
+                    return 1, Impulse.LO_T_ASK
+                if resting_bid and mask[int(Impulse.CO_T_BID)]:
+                    return 1, Impulse.CO_T_BID
+        return 0, None
 
 
 def make_agent(spec: str, rng: RandomStream,

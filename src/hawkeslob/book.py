@@ -61,10 +61,6 @@ class BookState:
     def p_mid(self) -> float:
         return (self.p_ask_ticks + self.p_bid_ticks) * self.tick / 2.0
 
-    @property
-    def spread_ticks(self) -> int:
-        return self.p_ask_ticks - self.p_bid_ticks
-
 
 @dataclass(frozen=True)
 class AgentBookState:

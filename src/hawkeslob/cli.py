@@ -191,9 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sensitivity/ablation sweep")
     _add_common(p_sweep)
-    p_sweep.add_argument("--grid", default=None,
-                         help="inline JSON grid, e.g. '{\"fee_bps\":[1,8]}'")
-    p_sweep.add_argument("--grid-file", default=None)
+    grid = p_sweep.add_mutually_exclusive_group()
+    grid.add_argument("--grid", default=None,
+                      help="inline JSON grid, e.g. '{\"fee_bps\":[1,8]}'")
+    grid.add_argument("--grid-file", default=None)
     p_sweep.add_argument("--eval-episodes", type=_at_least(1), default=20)
 
     p_dyn = sub.add_parser("dynkin-check",
@@ -237,8 +238,6 @@ def _cmd_eval(args, app: AppConfig) -> int:
 
 def _cmd_sweep(args, app: AppConfig) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.grid and args.grid_file:
-        raise SystemExit("pass either --grid or --grid-file, not both")
     grid = {}
     if args.grid:
         grid = json.loads(args.grid)

@@ -63,8 +63,6 @@ class TrainerConfig:
     sil_capacity: int = 4096
     sil_batch: int = 256
     sil_positive_part: bool = False
-    normalize_advantages: bool = True
-    freeze_decision_updates: int = 0
     ablation: str = "none"
     checkpoint_every: int = 5
 
@@ -90,9 +88,9 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be >= 1")
         # Zero epochs collects rollouts without updating; zero episodes
         # trains nothing; zero checkpoint_every writes only the final
-        # checkpoint; zero freeze_decision_updates freezes no update.
+        # checkpoint.
         for name in ("epochs_per_update", "total_episodes",
-                     "checkpoint_every", "freeze_decision_updates"):
+                     "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got "
                                  f"{getattr(self, name)}")
@@ -338,22 +336,41 @@ class Transition:
     adv: float = math.nan
 
 
-def sample_action(nets: PolicyNets, obs: Observation, mask: np.ndarray,
-                  rng: RandomStream,
-                  ) -> Tuple[Tuple[int, Optional[Impulse]], Transition]:
-    """Sample the policy given admissibility over the full impulse order.
+class CheckpointAgent:
+    """The stochastic policy of trained networks, as a ``run_episode`` agent.
 
-    Returns the env action ``(decision, impulse or None)`` and the step's
-    transition, whose reward, return and advantage are not yet known.
+    It acts through ``nets.policy_only()``: no step runs the value net,
+    whose output nothing here reads. Given a ``transitions`` list, ``act``
+    appends each step's ``Transition``, whose reward, value, return and
+    advantage are not yet known; training rollouts pass one, checkpoint
+    evaluation does not.
     """
-    sub_mask = mask[SUB_MASK_IDX]
-    features = nets.features(obs)
-    decision, a_idx, logp, value = act(nets, features, sub_mask, rng)
-    record = Transition(features=features, decision=decision, action=a_idx,
-                        logp=logp, reward=math.nan, value=value,
-                        mask=sub_mask)
-    return (decision, RESTRICTED_IMPULSES[a_idx] if decision else None), \
-        record
+
+    name = "checkpoint"
+
+    def __init__(self, nets: PolicyNets, rng: RandomStream,
+                 transitions: Optional[List[Transition]] = None):
+        self.nets = nets.policy_only()
+        self.rng = rng
+        self.transitions = transitions
+
+    @classmethod
+    def load(cls, path: str, rng: RandomStream) -> "CheckpointAgent":
+        return cls(PolicyNets.load(path), rng)
+
+    def act(self, obs: Observation,
+            mask: np.ndarray) -> Tuple[int, Optional[Impulse]]:
+        """Sample the policy given admissibility over the full impulse
+        order, by the module's ``act``, looked up at call time."""
+        sub_mask = mask[SUB_MASK_IDX]
+        features = self.nets.features(obs)
+        decision, a_idx, logp, value = act(self.nets, features, sub_mask,
+                                           self.rng)
+        if self.transitions is not None:
+            self.transitions.append(Transition(
+                features=features, decision=decision, action=a_idx,
+                logp=logp, reward=math.nan, value=value, mask=sub_mask))
+        return decision, RESTRICTED_IMPULSES[a_idx] if decision else None
 
 
 def compute_gae(rewards: Sequence[float], values: np.ndarray, discount: float,
@@ -521,8 +538,6 @@ def ppo_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],
         "policy_loss": float(policy_loss),
         "value_loss": value_loss,
         "entropy": entropy,
-        "mean_ratio": float(ratio.mean()),
-        "clip_fraction": float((s2 < s1).mean()),
     }
     return loss, grads, stats
 
@@ -623,35 +638,20 @@ def combined_loss(nets: PolicyNets, batch: Dict[str, np.ndarray],
 # Rollouts and the training loop
 # ---------------------------------------------------------------------------
 
-class _RecordingPolicy:
-    """``run_episode`` agent that samples the policy and keeps each step's
-    transition."""
-
-    def __init__(self, nets: PolicyNets, rng: RandomStream):
-        self.nets = nets
-        self.rng = rng
-        self.transitions: List[Transition] = []
-
-    def act(self, obs: Observation, mask: np.ndarray):
-        action, record = sample_action(self.nets, obs, mask, self.rng)
-        self.transitions.append(record)
-        return action
-
-
 def rollout_episode(env, nets: PolicyNets, rng: RandomStream,
                     env_seed: int, discount: float = 0.999,
                     gae_lambda: float = 0.95) -> EpisodeStats:
     """One training episode; its stats carry the GAE-labelled transitions.
 
-    Each step acts through ``nets.policy_only()``, by ``act`` looked up
-    through this module. After the episode, one forward pass of the value
-    net over the stacked features sets every ``Transition.value``; it
-    agrees with per-row passes to the last bits, not bit for bit (see
-    ``nn``).
+    Each step acts through a recording ``CheckpointAgent``, so through
+    ``nets.policy_only()`` and ``act`` looked up through this module.
+    After the episode, one forward pass of the value net over the stacked
+    features sets every ``Transition.value``; it agrees with per-row
+    passes to the last bits, not bit for bit (see ``nn``).
     """
-    policy = _RecordingPolicy(nets.policy_only(), rng)
-    stats, rewards = run_episode(env, policy, env_seed)
-    transitions = policy.transitions
+    transitions: List[Transition] = []
+    stats, rewards = run_episode(
+        env, CheckpointAgent(nets, rng, transitions), env_seed)
     values = nets.value.forward(
         np.array([tr.features for tr in transitions])).ravel()
     adv, ret = compute_gae(rewards, values, discount, gae_lambda)
@@ -725,14 +725,12 @@ def train(kernel_params: KernelParams, episode_config: EpisodeConfig,
             "ret": np.array([tr.ret for tr in transitions]),
             "masks": np.array([tr.mask for tr in transitions]),
         }
-        if tc.normalize_advantages:
-            a = batch_all["adv"]
-            std = a.std()
-            batch_all["adv"] = (a - a.mean()) / (std if std > 0 else 1.0)
+        a = batch_all["adv"]
+        std = a.std()
+        batch_all["adv"] = (a - a.mean()) / (std if std > 0 else 1.0)
 
         stats: Dict[str, float] = {}
         n = len(transitions)
-        freeze_decision = update < tc.freeze_decision_updates
         for _ in range(tc.epochs_per_update):
             order = stream.permutation(n)
             for lo in range(0, n, tc.minibatch_size):
@@ -746,8 +744,7 @@ def train(kernel_params: KernelParams, episode_config: EpisodeConfig,
                     raise RuntimeError(
                         f"non-finite loss at update {update}, episode "
                         f"{episode}; stats={stats}")
-                if not freeze_decision:
-                    nets.decision.adam_step(grads["decision"])
+                nets.decision.adam_step(grads["decision"])
                 nets.action.adam_step(grads["action"])
                 nets.value.adam_step(grads["value"])
         update += 1

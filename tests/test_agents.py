@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hawkeslob.agents import (CheckpointAgent, HoldAgent, ProbAgentConfig,
-                              ProbabilisticAgent, RandomAgent, make_agent,
-                              prob_agent_act, random_agent_act)
+                              ProbabilisticAgent, RandomAgent, make_agent)
 from hawkeslob.env import EpisodeConfig, MarketMakingEnv, Observation
 from hawkeslob.events import EventType, Impulse, N_EVENT_TYPES
 from hawkeslob.rng import RandomStream
@@ -32,61 +31,65 @@ def lam_with_top(event, value=5.0):
 class TestProbabilisticAgent:
     def test_mo_bid_pressure_quotes_bid(self):
         obs = make_obs(lam_with_top(EventType.MO_BID))
-        d, psi = prob_agent_act(obs, ProbAgentConfig(), full_mask())
+        d, psi = ProbabilisticAgent(ProbAgentConfig()).act(obs, full_mask())
         assert (d, psi) == (1, Impulse.LO_T_BID)
 
     def test_mo_bid_pressure_cancels_ask_when_resting(self):
         obs = make_obs(lam_with_top(EventType.MO_BID), rel_ask=0.5,
                        rel_bid=0.3)
-        d, psi = prob_agent_act(obs, ProbAgentConfig(), full_mask())
+        d, psi = ProbabilisticAgent(ProbAgentConfig()).act(obs, full_mask())
         assert (d, psi) == (1, Impulse.CO_T_ASK)
 
     def test_mo_ask_pressure_mirrors(self):
         obs = make_obs(lam_with_top(EventType.MO_ASK))
-        d, psi = prob_agent_act(obs, ProbAgentConfig(), full_mask())
+        d, psi = ProbabilisticAgent(ProbAgentConfig()).act(obs, full_mask())
         assert (d, psi) == (1, Impulse.LO_T_ASK)
         obs = make_obs(lam_with_top(EventType.MO_ASK), rel_bid=0.4,
                        rel_ask=0.2)
-        d, psi = prob_agent_act(obs, ProbAgentConfig(), full_mask())
+        d, psi = ProbabilisticAgent(ProbAgentConfig()).act(obs, full_mask())
         assert (d, psi) == (1, Impulse.CO_T_BID)
 
     def test_inventory_rule_sells_when_long(self):
         obs = make_obs(inventory=6)
-        d, psi = prob_agent_act(obs, ProbAgentConfig(y_max=5), full_mask())
+        agent = ProbabilisticAgent(ProbAgentConfig(y_max=5))
+        d, psi = agent.act(obs, full_mask())
         assert (d, psi) == (1, Impulse.MO_BID)
 
     def test_inventory_rule_buys_when_short(self):
         obs = make_obs(inventory=-6)
-        d, psi = prob_agent_act(obs, ProbAgentConfig(y_max=5), full_mask())
+        agent = ProbabilisticAgent(ProbAgentConfig(y_max=5))
+        d, psi = agent.act(obs, full_mask())
         assert (d, psi) == (1, Impulse.MO_ASK)
 
     def test_inventory_rule_dominates_direction_signal(self):
         obs = make_obs(lam_with_top(EventType.MO_BID), inventory=7)
-        d, psi = prob_agent_act(obs, ProbAgentConfig(y_max=5), full_mask())
+        agent = ProbabilisticAgent(ProbAgentConfig(y_max=5))
+        d, psi = agent.act(obs, full_mask())
         assert (d, psi) == (1, Impulse.MO_BID)
 
     def test_inventory_rule_respects_mask(self):
         obs = make_obs(lam_with_top(EventType.MO_BID), inventory=7)
         mask = full_mask()
         mask[int(Impulse.MO_BID)] = False
-        d, psi = prob_agent_act(obs, ProbAgentConfig(y_max=5), mask)
+        agent = ProbabilisticAgent(ProbAgentConfig(y_max=5))
+        d, psi = agent.act(obs, mask)
         # falls through to the directional rule
         assert (d, psi) == (1, Impulse.LO_T_BID)
 
     def test_no_signal_holds(self):
         obs = make_obs()  # all intensities equal, flat, nothing resting
-        d, psi = prob_agent_act(obs, ProbAgentConfig(), full_mask())
+        d, psi = ProbabilisticAgent(ProbAgentConfig()).act(obs, full_mask())
         assert (d, psi) == (0, None)
 
     def test_skew_guard_blocks_overquoting(self):
         # already resting on the bid and not on the ask: skew at threshold
         obs = make_obs(lam_with_top(EventType.MO_BID), rel_bid=0.5)
-        d, psi = prob_agent_act(obs, ProbAgentConfig(), full_mask())
+        d, psi = ProbabilisticAgent(ProbAgentConfig()).act(obs, full_mask())
         assert (d, psi) == (0, None)
 
     def test_pure_function_determinism(self):
         obs = make_obs(lam_with_top(EventType.MO_BID), inventory=2)
-        outs = {prob_agent_act(obs, ProbAgentConfig(), full_mask())
+        outs = {ProbabilisticAgent(ProbAgentConfig()).act(obs, full_mask())
                 for _ in range(25)}
         assert len(outs) == 1
 
@@ -102,19 +105,19 @@ class TestRandomAndHold:
             assert agent.act(make_obs(), full_mask()) == (0, None)
 
     def test_random_agent_empty_mask(self):
-        d, psi = random_agent_act(make_obs(), np.zeros(10, dtype=bool),
-                                  RandomStream(1))
+        d, psi = RandomAgent(RandomStream(1)).act(
+            make_obs(), np.zeros(10, dtype=bool))
         assert (d, psi) == (0, None)
 
     def test_random_agent_frequencies(self):
         mask = np.zeros(10, dtype=bool)
         mask[int(Impulse.LO_T_ASK)] = True
         mask[int(Impulse.LO_T_BID)] = True
-        rng = RandomStream(2)
+        agent = RandomAgent(RandomStream(2))
         counts = {Impulse.LO_T_ASK: 0, Impulse.LO_T_BID: 0, None: 0}
         n = 10_000
         for _ in range(n):
-            d, psi = random_agent_act(make_obs(), mask, rng)
+            d, psi = agent.act(make_obs(), mask)
             counts[psi] += 1
         # intervene w.p. 1/2, uniform over the two admissible: 25% each
         assert counts[Impulse.LO_T_ASK] / n == pytest.approx(0.25,

@@ -245,8 +245,8 @@ class TestInitialSampling:
     def test_spread_distribution(self):
         rng = RandomStream(101)
         config = BookInitConfig()
-        spreads = [sample_book(config, rng).spread_ticks
-                   for _ in range(2000)]
+        books = [sample_book(config, rng) for _ in range(2000)]
+        spreads = [b.p_ask_ticks - b.p_bid_ticks for b in books]
         assert min(spreads) == 1
         # Geometric(0.8): P(1 tick) = 0.8
         assert np.mean(np.array(spreads) == 1) == pytest.approx(0.8,

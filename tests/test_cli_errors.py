@@ -40,3 +40,17 @@ def test_script_entry_is_the_console_entry():
     scripts = PYPROJECT.read_text().split("[project.scripts]\n")[1]
     assert scripts.split("\n\n")[0] == \
         'hawkeslob = "hawkeslob.cli:console_main"'
+
+
+def test_grid_and_grid_file_are_refused_by_argparse(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text('{"eta": [1]}')
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.console_main(["sweep", "--grid", '{"eta": [1]}', "--grid-file",
+                          str(grid_file), "--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == ("hawkeslob sweep: error: argument --grid-file: not "
+                    "allowed with argument --grid")
+    assert not out_dir.exists()

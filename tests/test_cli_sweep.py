@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hawkeslob.env import EpisodeConfig, OBS_BLOCKS
 from hawkeslob.params import default_kernel_params
 from hawkeslob.ppo import PolicyNets, TrainerConfig, build_normalizer
 from hawkeslob.rng import RandomStream
-from hawkeslob.sweep import expand_grid, run_sweep
+from hawkeslob import sweep
+from hawkeslob.sweep import SweepCell, expand_grid, run_cell, run_sweep
 
 FAST = {
     "episode": {"horizon": 5.0},
@@ -103,6 +105,31 @@ class TestSweep:
                          seed=3, eval_episodes=2)
         assert rows[0]["status"].startswith("failed")
         assert rows[1]["status"] == "ok"
+
+    @pytest.mark.parametrize("cell, changes", [
+        (SweepCell(index=0, sil=False), {"beta_sil": 0.0}),
+        (SweepCell(index=1, sil=True), {}),
+        (SweepCell(index=2, ablation="history"), {"ablation": "history"}),
+    ])
+    def test_cell_trains_with_its_trainer_settings(self, monkeypatch, cell,
+                                                   changes):
+        seen = []
+        real_train = sweep.train
+
+        def spy(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            seen.append((args[2], result.nets.ablation))
+            return result
+
+        monkeypatch.setattr(sweep, "train", spy)
+        tc = TrainerConfig(total_episodes=1, episodes_per_update=1,
+                           epochs_per_update=1, hidden_sizes=(4,))
+        row = run_cell(cell, default_kernel_params(),
+                       EpisodeConfig(horizon=2.0), tc, BookInitConfig(),
+                       seed=6, eval_episodes=1)
+        assert row["status"] == "ok"
+        want = replace(tc, **changes)
+        assert seen == [(want, want.ablation)]
 
     def test_ablation_zeroes_feature_block(self):
         params = default_kernel_params()

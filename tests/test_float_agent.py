@@ -1,10 +1,10 @@
 """The per-step agents against their earlier forms, bit for bit.
 
-``prob_agent_act`` reads the observation as Python floats; the numpy form
-it replaced is kept here as the reference, and both must choose the same
-action for every observation, mask and config. A ``CheckpointAgent``
-episode must leave its stream where a training rollout's
-``sample_action`` leaves it.
+``ProbabilisticAgent.act`` reads the observation as Python floats; the
+numpy form it replaced is kept here as the reference, and both must
+choose the same action for every observation, mask and config. A
+``CheckpointAgent`` episode must leave its stream where a training
+rollout, which records through the same class, leaves it.
 """
 
 import math
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkeslob import ppo
-from hawkeslob.agents import CheckpointAgent, ProbAgentConfig, prob_agent_act
+from hawkeslob.agents import (CheckpointAgent, ProbabilisticAgent,
+                              ProbAgentConfig)
 from hawkeslob.env import (OBS_BLOCKS, EpisodeConfig, MarketMakingEnv,
                            Observation)
 from hawkeslob.events import EventType, Impulse, N_EVENT_TYPES, N_IMPULSES
@@ -25,7 +26,8 @@ from hawkeslob.rng import RandomStream
 
 
 def numpy_prob_agent_act(obs, config, mask):
-    """``prob_agent_act`` as it was: numpy sum, division and argmax."""
+    """``ProbabilisticAgent.act`` as it was: numpy sum, division and
+    argmax."""
     lo, hi = OBS_BLOCKS["intensity"]
     lam = obs.vector[lo:hi]
     total = lam.sum()
@@ -65,7 +67,7 @@ def make_obs(lam, inventory=0, rel_ask=-1.0, rel_bid=-1.0):
 
 
 def assert_same(obs, config, mask):
-    got = prob_agent_act(obs, config, mask)
+    got = ProbabilisticAgent(config).act(obs, mask)
     want = numpy_prob_agent_act(obs, config, mask)
     assert got == want
     assert type(got[1]) is type(want[1])
@@ -142,8 +144,8 @@ def test_one_ulp_apart_tie_after_division_takes_the_first_index(low, high):
         assert_same(obs, ProbAgentConfig(), np.ones(N_IMPULSES, dtype=bool))
     # The tie goes to the lower index, which is not a market order here
     # unless ``low`` is MO_ASK: then the agent quotes the ask.
-    got = prob_agent_act(make_obs(lam), ProbAgentConfig(),
-                         np.ones(N_IMPULSES, dtype=bool))
+    got = ProbabilisticAgent().act(make_obs(lam),
+                                   np.ones(N_IMPULSES, dtype=bool))
     assert got == ((1, Impulse.LO_T_ASK) if low == EventType.MO_ASK
                    else (0, None))
 
@@ -153,8 +155,8 @@ def test_all_zero_intensities_pick_event_zero():
     for inventory in (0, 6, -6):
         assert_same(make_obs(lam, inventory), ProbAgentConfig(),
                     np.ones(N_IMPULSES, dtype=bool))
-    assert prob_agent_act(make_obs(lam), ProbAgentConfig(),
-                          np.ones(N_IMPULSES, dtype=bool)) == (0, None)
+    assert ProbabilisticAgent().act(
+        make_obs(lam), np.ones(N_IMPULSES, dtype=bool)) == (0, None)
 
 
 def order_sensitive_ties(n=20):
@@ -213,9 +215,11 @@ def test_checkpoint_episode_leaves_the_rollout_stream(stream_seed):
     env = MarketMakingEnv(kernel, EPISODE)
     agent = CheckpointAgent(nets, RandomStream(stream_seed))
     stats, rewards = run_episode(env, agent, 11)
-    recorder = ppo._RecordingPolicy(nets, RandomStream(stream_seed))
-    rec_stats, rec_rewards = run_episode(env, recorder, 11)
-    assert agent.rng.state == recorder.rng.state
-    assert stats.action_counts == rec_stats.action_counts
+    assert agent.transitions is None
+    rollout_rng = RandomStream(stream_seed)
+    rollout = ppo.rollout_episode(env, nets, rollout_rng, env_seed=11)
+    assert agent.rng.state == rollout_rng.state
+    assert stats.action_counts == rollout.action_counts
     assert sum(stats.action_counts.values()) > 0
+    rec_rewards = [tr.reward for tr in rollout.transitions]
     assert np.array(rewards).tobytes() == np.array(rec_rewards).tobytes()

@@ -460,6 +460,25 @@ class TestTraining:
         assert p_intervene < 0.05
         assert result.log_rows[-1]["total_reward"] == 40.0
 
+    def test_checkpoint_every_writes_the_updates_before_the_last(
+            self, tmp_path):
+        cfg = TrainerConfig(total_episodes=6, episodes_per_update=1,
+                            epochs_per_update=1, hidden_sizes=(4,),
+                            checkpoint_every=2)
+        result = train(default_kernel_params("poisson"),
+                       EpisodeConfig(horizon=2.0), cfg, seed=53,
+                       out_dir=str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.json", "checkpoint_up2.json", "checkpoint_up4.json",
+            "training_log.csv"]
+        flats = [PolicyNets.load(tmp_path / name).decision.get_flat()
+                 for name in ("checkpoint_up2.json", "checkpoint_up4.json",
+                              "checkpoint.json")]
+        assert not np.array_equal(flats[0], flats[1])
+        assert not np.array_equal(flats[1], flats[2])
+        np.testing.assert_array_equal(flats[2],
+                                      result.nets.decision.get_flat())
+
     def test_training_determinism(self):
         cfg = TrainerConfig(total_episodes=4, episodes_per_update=2,
                             epochs_per_update=1, hidden_sizes=(4,))

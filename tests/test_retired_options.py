@@ -2,7 +2,9 @@
 config key ``episode.seed`` is refused by name), the queue-redraw law is
 ``BookInitConfig.redraw_geom_p`` alone and reaches every book transition
 the environment makes, and the values no program path set to anything but
-their default are gone from the signatures."""
+their default are gone from the signatures and the config document. Each
+policy acts through one ``act``: the trained one through
+``ppo.CheckpointAgent``, in rollouts and in evaluation alike."""
 
 import inspect
 import json
@@ -11,7 +13,7 @@ import pytest
 
 import hawkeslob
 from hawkeslob import _kernels as _k
-from hawkeslob import book, intervention, qvi
+from hawkeslob import agents, book, intervention, ppo, qvi
 from hawkeslob.agents import RandomAgent
 from hawkeslob.book import BookInitConfig
 from hawkeslob.cli import default_config_document, load_app_config
@@ -19,6 +21,7 @@ from hawkeslob.env import ACTION_SET_FULL, EpisodeConfig, MarketMakingEnv
 from hawkeslob.hawkes import HawkesClock
 from hawkeslob.metrics import detect_pump_and_dump, run_episode
 from hawkeslob.params import default_kernel_params, poisson_flow_params
+from hawkeslob.ppo import TrainerConfig
 from hawkeslob.rng import RandomStream
 
 
@@ -32,6 +35,26 @@ def test_episode_seed_key_is_refused_by_name(tmp_path, seed):
     path.write_text(json.dumps({"episode": {"seed": seed}}))
     with pytest.raises(ValueError, match=r"episode\.seed"):
         load_app_config(str(path))
+
+
+@pytest.mark.parametrize("key, value", [("normalize_advantages", False),
+                                        ("freeze_decision_updates", 2)])
+def test_retired_trainer_key_is_refused_by_name(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trainer": {key: value}}))
+    with pytest.raises(ValueError,
+                       match=rf"unknown config key trainer\.{key}"):
+        load_app_config(str(path))
+    assert key not in TrainerConfig().to_dict()
+    assert key not in default_config_document()["trainer"]
+
+
+def test_one_act_per_policy():
+    assert agents.CheckpointAgent is ppo.CheckpointAgent
+    for name in ("prob_agent_act", "random_agent_act"):
+        assert not hasattr(agents, name)
+    for name in ("sample_action", "_RecordingPolicy"):
+        assert not hasattr(ppo, name)
 
 
 def test_episode_config_has_no_seed():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkeslob import _kernels as _k
-from hawkeslob.agents import random_agent_act
+from hawkeslob.agents import RandomAgent
 from hawkeslob.env import (ACTION_SET_FULL, OBS_BLOCKS, OBS_DIM,
                            EpisodeConfig, MarketMakingEnv, _rel_pos)
 from hawkeslob.events import N_EVENT_TYPES
@@ -124,7 +124,7 @@ def _assembled(env):
 def test_observation_vector_equals_the_field_assembly(seed, window):
     env = MarketMakingEnv(config=EpisodeConfig(
         horizon=8.0, action_set=ACTION_SET_FULL, history_window=window))
-    rng = RandomStream(seed)
+    agent = RandomAgent(RandomStream(seed))
     obs = env.reset(seed=seed)
     done = False
     n_steps = 0
@@ -140,7 +140,7 @@ def test_observation_vector_equals_the_field_assembly(seed, window):
         assert np.all(obs.vector[lo:hi] > 0.0)
         if done:
             break
-        decision, psi = random_agent_act(obs, env.admissible_mask(), rng)
+        decision, psi = agent.act(obs, env.admissible_mask())
         obs, _, done = env.step(decision, psi)
         n_steps += 1
     assert n_steps == env.config.n_steps

@@ -17,6 +17,7 @@ import pytest
 from hawkeslob import ppo
 from hawkeslob.agents import CheckpointAgent
 from hawkeslob.env import EpisodeConfig, MarketMakingEnv
+from hawkeslob.events import RESTRICTED_IMPULSES
 from hawkeslob.metrics import run_episode
 from hawkeslob.params import default_kernel_params
 from hawkeslob.rng import RandomStream
@@ -85,7 +86,9 @@ class _FullNetsAgent:
         self.actions = []
 
     def act(self, obs, mask):
-        action = ppo.sample_action(self.nets, obs, mask, self.rng)[0]
+        decision, a_idx, _, _ = ppo.act(self.nets, self.nets.features(obs),
+                                        mask[ppo.SUB_MASK_IDX], self.rng)
+        action = decision, RESTRICTED_IMPULSES[a_idx] if decision else None
         self.actions.append(action)
         return action
 
