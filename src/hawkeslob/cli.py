@@ -23,13 +23,13 @@ import numpy as np
 from .agents import ProbAgentConfig, make_agent
 from .book import BookInitConfig
 from .env import EpisodeConfig, MarketMakingEnv
-from .metrics import (evaluate_agent, read_json, write_episodes_csv,
-                      write_summary_json)
+from .metrics import (evaluate_agent, parse_json, read_json,
+                      write_episodes_csv, write_summary_json)
 from .params import KernelParams, default_kernel_params
 from .ppo import TrainerConfig, train
 from .qvi import dynkin_check
 from .rng import RandomStream, derive_seed
-from .sweep import run_sweep
+from .sweep import expand_grid, run_sweep
 
 
 # Config document sections after ``kernel``, each built as ``cls(**doc)``.
@@ -87,7 +87,6 @@ def _is_number_array(value) -> bool:
 _JSON_TYPES = {
     float: (_is_number, "a finite number"),
     int: (_is_int, "an integer"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
     str: (lambda v: isinstance(v, str), "a string"),
     Tuple[int, ...]: (lambda v: isinstance(v, list)
                       and all(_is_int(x) for x in v), "a list of integers"),
@@ -139,11 +138,6 @@ def load_app_config(path: Optional[str]) -> AppConfig:
     sections = {name: _build(name, cls, doc.get(name, {}))
                 for name, cls in SECTIONS.items()}
     return AppConfig(kernel=kernel, **sections)
-
-
-def default_config_document() -> dict:
-    """The full default configuration as a JSON-ready document."""
-    return dict(zip(["kernel", *SECTIONS], load_app_config(None).docs()))
 
 
 def _at_least(low: int):
@@ -220,11 +214,11 @@ def _cmd_train(args, app: AppConfig) -> int:
 
 
 def _cmd_eval(args, app: AppConfig) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     agent = make_agent(args.agent, RandomStream(derive_seed(args.seed, 0xA9)),
                        app.prob_agent)
     env = MarketMakingEnv(app.kernel, app.episode, app.init,
                           record_trace=args.traces)
+    os.makedirs(args.out_dir, exist_ok=True)
     summary, episodes = evaluate_agent(
         env, agent, args.episodes, seed=args.seed, config_docs=app.docs(),
         trace_dir=args.out_dir if args.traces else None)
@@ -237,12 +231,13 @@ def _cmd_eval(args, app: AppConfig) -> int:
 
 
 def _cmd_sweep(args, app: AppConfig) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     grid = {}
     if args.grid:
-        grid = json.loads(args.grid)
+        grid = parse_json(args.grid, "--grid")
     elif args.grid_file:
         grid = read_json(args.grid_file, "grid file")
+    expand_grid(grid)  # a refused grid leaves no out-dir behind
+    os.makedirs(args.out_dir, exist_ok=True)
     rows = run_sweep(grid, app.episode, app.trainer, app.init,
                      seed=args.seed, eval_episodes=args.eval_episodes,
                      out_csv=os.path.join(args.out_dir, "sweep.csv"),

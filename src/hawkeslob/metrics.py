@@ -229,15 +229,25 @@ def write_csv(path: str, columns: Sequence[str], rows: Iterable) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
+def parse_json(text: str, what: str):
+    """The JSON document ``text``; ValueError naming ``what``, with the
+    line and column, when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+
+
 def read_json(path, what: str):
     """The JSON document in the file at ``path``; ValueError naming
-    ``what`` and the path when the file cannot be read."""
+    ``what`` and the path when the file cannot be read or is not JSON."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {what} {str(path)!r}: "
                          f"{exc.strerror or exc}") from None
+    return parse_json(text, f"{what} {str(path)!r}")
 
 
 def write_summary_json(path: str, summary: RunSummary) -> None:

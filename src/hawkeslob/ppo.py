@@ -62,7 +62,6 @@ class TrainerConfig:
     hidden_sizes: Tuple[int, ...] = (64, 64)
     sil_capacity: int = 4096
     sil_batch: int = 256
-    sil_positive_part: bool = False
     ablation: str = "none"
     checkpoint_every: int = 5
 
@@ -237,14 +236,6 @@ class PolicyNets:
 # Policy arithmetic
 # ---------------------------------------------------------------------------
 
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = -np.log1p(np.exp(-z[pos]))
-    out[~pos] = z[~pos] - np.log1p(np.exp(z[~pos]))
-    return out
-
-
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax over admissible entries; -inf elsewhere.
 
@@ -267,8 +258,9 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _log_sigmoids(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(log sigmoid(z), log sigmoid(-z)) from one log1p(exp(-|z|)), with
-    the bits of ``_log_sigmoid(z)`` and ``_log_sigmoid(-z)``."""
+    """(log sigmoid(z), log sigmoid(-z)) from one s = log1p(exp(-|z|)),
+    by the stable branches: log sigmoid(x) is -s for x >= 0 and x - s
+    below."""
     softplus = np.log1p(np.exp(-np.abs(z)))
     neg = -softplus
     return (np.where(z >= 0, neg, z - softplus),
@@ -277,7 +269,7 @@ def _log_sigmoids(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _log_sigmoid_pair(z: float) -> Tuple[float, float]:
     """(log sigmoid(z), log sigmoid(-z)) of one float, by the branches of
-    ``_log_sigmoid``."""
+    ``_log_sigmoids``."""
     softplus = math.log1p(math.exp(-abs(z)))
     if z >= 0:
         return -softplus, -z - softplus
@@ -546,15 +538,14 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
              config: TrainerConfig) -> Tuple[float, Dict[str, Gradients]]:
     """Self-imitation loss -E[w(R, V) log pi(a|s)] over buffer samples.
 
-    The weight is the indicator 1{R > V} by default, or the positive part
-    (R - V)+ with ``sil_positive_part``. V enters the weight only (no
+    The weight is the indicator 1{R > V}. V enters the weight only (no
     value-head gradient). The value net runs over every sampled entry; a
     row of weight 0 adds nothing to the loss or its gradient, so the
-    decision net runs forward and backward only over the rows with a
-    positive weight, and the action net only over those of them that
-    intervened. The loss is the sum over those rows divided by the number
-    of entries. When no row has a positive weight, the loss is 0.0 and the
-    gradients are exactly zero.
+    decision net runs forward and backward only over the rows with R > V,
+    and the action net only over those of them that intervened. The loss
+    is the sum over those rows divided by the number of entries. When no
+    row has R > V, the loss is 0.0 and the gradients are exactly zero.
+    ``config`` is not read; the signature is that of ``ppo_loss``.
     """
     if not entries:
         return 0.0, _zero_grads(nets)
@@ -562,16 +553,9 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
     feats = np.array([tr.features for tr in entries])
     rets = np.array([tr.ret for tr in entries])
     v = nets.value.forward(feats).ravel()
-    if config.sil_positive_part:
-        weight = np.maximum(rets - v, 0.0)
-    else:
-        weight = (rets > v).astype(np.float64)
-    # Weights are >= 0, so these are the positive ones; a nan weight is
-    # kept, so that it reaches the loss.
-    rows = np.flatnonzero(weight)
+    rows = np.flatnonzero(rets > v)
     if not rows.size:
         return 0.0, _zero_grads(nets)
-    weight = weight[rows]
     feats = feats[rows]
     kept = [entries[i] for i in rows.tolist()]
     decisions = np.array([tr.decision for tr in kept])
@@ -581,7 +565,7 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
     z_d = nets.decision.forward(feats, acts_d).ravel()
     # logp is log p(d=0) until the rows that intervened are set.
     logsig, logp = _log_sigmoids(z_d)
-    g_logp = -weight / n
+    g_logp = -1.0 / n
     if took.size:
         actions = np.array([kept[i].action for i in took.tolist()])
         masks = np.array([kept[i].mask for i in took.tolist()])
@@ -593,11 +577,11 @@ def sil_loss(nets: PolicyNets, entries: Sequence[Transition],
         logp[took] = logsig[took] + logp_a[picked]
         g_logits = -p_a
         g_logits[picked] += 1.0
-        g_logits *= g_logp[took, None]
+        g_logits *= g_logp
         grads_a = nets.action.backward(feats[took], g_logits, acts_a)
     else:
         grads_a = nets.action.zero_grads()
-    loss = float(-(weight * logp).sum() / n)
+    loss = float(-logp.sum() / n)
     g_zd = g_logp * (decisions - np.exp(logsig))
     grads = {
         "decision": nets.decision.backward(feats, g_zd.reshape(-1, 1),

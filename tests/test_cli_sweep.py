@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hawkeslob.book import BookInitConfig
-from hawkeslob.cli import default_config_document, load_app_config, main
+from config_doc import default_config_document
+from hawkeslob.cli import load_app_config, main
 from hawkeslob.env import EpisodeConfig, OBS_BLOCKS
 from hawkeslob.params import default_kernel_params
 from hawkeslob.ppo import PolicyNets, TrainerConfig, build_normalizer

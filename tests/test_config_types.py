@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hawkeslob.cli import SECTIONS, default_config_document, load_app_config
+from config_doc import default_config_document
+from hawkeslob.cli import SECTIONS, load_app_config
 
 DEFAULT_DOC = default_config_document()
 
@@ -32,7 +33,7 @@ def load(tmp_path, doc):
     ({"kernel": {"mu": [1.0]}}, r"kernel\.kind"),
     ({"trainer": {"hidden_sizes": 4}}, r"trainer\.hidden_sizes"),
     ({"trainer": {"hidden_sizes": [4, 2.5]}}, r"trainer\.hidden_sizes"),
-    ({"trainer": {"sil_positive_part": 1}}, r"trainer\.sil_positive_part"),
+    ({"trainer": {"ablation": 3}}, r"trainer\.ablation"),
     ({"trainer": {"total_episodes": 2.0}}, r"trainer\.total_episodes"),
     ({"prob_agent": {"y_max": True}}, r"prob_agent\.y_max"),
     ({"init": {"tick": None}}, r"init\.tick"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hawkeslob.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DenseNet
-from hawkeslob.ppo import _log_sigmoid, _log_sigmoids
+from hawkeslob.ppo import _log_sigmoids
 from hawkeslob.rng import RandomStream
 
 NETS = [([3, 4, 1], "relu", "scalar"),
@@ -182,6 +182,15 @@ def test_relu_backward_gives_the_bits_of_a_float_mask(rows):
     got = net.backward(x, g_out, acts)
     for (gw, gb), (ww, wb) in zip(got, want):
         assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+
+
+def _log_sigmoid(z):
+    """log sigmoid(z), element-wise, by a mask over the two branches."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = -np.log1p(np.exp(-z[pos]))
+    out[~pos] = z[~pos] - np.log1p(np.exp(z[~pos]))
+    return out
 
 
 def test_log_sigmoid_pair_gives_the_two_branch_bits():

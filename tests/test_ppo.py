@@ -302,16 +302,6 @@ class TestSILLoss:
                 total += -lp
         assert loss == pytest.approx(total / len(entries), abs=1e-12)
 
-    def test_positive_part_variant(self):
-        nets = small_nets(seed=29)
-        entry = self._entry(nets, ret=3.0)
-        v = float(nets.value.forward(entry.features)[0])
-        cfg = TrainerConfig(sil_positive_part=True)
-        loss, _ = sil_loss(nets, [entry], cfg)
-        cfg_ind = TrainerConfig()
-        loss_ind, _ = sil_loss(nets, [entry], cfg_ind)
-        assert loss == pytest.approx((3.0 - v) * loss_ind, rel=1e-9)
-
     def test_empty_buffer(self):
         nets = small_nets(seed=31)
         loss, grads = sil_loss(nets, [], TrainerConfig())

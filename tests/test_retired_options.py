@@ -11,12 +11,13 @@ import json
 
 import pytest
 
+from config_doc import default_config_document
 import hawkeslob
 from hawkeslob import _kernels as _k
 from hawkeslob import agents, book, intervention, ppo, qvi
 from hawkeslob.agents import RandomAgent
 from hawkeslob.book import BookInitConfig
-from hawkeslob.cli import default_config_document, load_app_config
+from hawkeslob.cli import load_app_config
 from hawkeslob.env import ACTION_SET_FULL, EpisodeConfig, MarketMakingEnv
 from hawkeslob.hawkes import HawkesClock
 from hawkeslob.metrics import detect_pump_and_dump, run_episode
@@ -38,7 +39,8 @@ def test_episode_seed_key_is_refused_by_name(tmp_path, seed):
 
 
 @pytest.mark.parametrize("key, value", [("normalize_advantages", False),
-                                        ("freeze_decision_updates", 2)])
+                                        ("freeze_decision_updates", 2),
+                                        ("sil_positive_part", True)])
 def test_retired_trainer_key_is_refused_by_name(tmp_path, key, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"trainer": {key: value}}))

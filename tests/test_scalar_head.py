@@ -14,11 +14,20 @@ import numpy as np
 import pytest
 
 from hawkeslob.env import OBS_DIM
-from hawkeslob.ppo import (N_ACTIONS, PolicyNets, _log_sigmoid,
-                           _policy_forward, act, masked_log_softmax)
+from hawkeslob.ppo import (N_ACTIONS, PolicyNets, _policy_forward, act,
+                           masked_log_softmax)
 from hawkeslob.rng import RandomStream
 
 N_STATES = 1200
+
+
+def _log_sigmoid(z):
+    """log sigmoid(z), element-wise, by a mask over the two branches."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = -np.log1p(np.exp(-z[pos]))
+    out[~pos] = z[~pos] - np.log1p(np.exp(z[~pos]))
+    return out
 
 
 def _act_array(nets, features, mask, rng):

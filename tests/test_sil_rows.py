@@ -23,7 +23,7 @@ from hawkeslob.rng import RandomStream
 TOL = 1e-12
 
 
-def _reference(nets, entries, config):
+def _reference(nets, entries):
     """The SIL loss and gradients over every sampled row."""
     feats = np.array([tr.features for tr in entries])
     decisions = np.array([tr.decision for tr in entries])
@@ -34,10 +34,7 @@ def _reference(nets, entries, config):
     acts_d, acts_a, p1, _, _, p_a, _, logp = _policy_forward(
         nets, feats, decisions, actions, masks)
     v = nets.value.forward(feats).ravel()
-    if config.sil_positive_part:
-        weight = np.maximum(rets - v, 0.0)
-    else:
-        weight = (rets > v).astype(np.float64)
+    weight = (rets > v).astype(np.float64)
     g_zd, g_logits = _policy_logp_grads(decisions, actions, p1, p_a,
                                         -weight / n)
     grads = {
@@ -81,14 +78,12 @@ def _close(got, ref):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
-       above=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
-       positive_part=st.booleans())
-def test_kept_rows_match_all_rows(n, seed, above, positive_part):
+       above=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+def test_kept_rows_match_all_rows(n, seed, above):
     nets = _nets(seed % 1000)
     entries = _entries(nets, n, seed, above)
-    config = TrainerConfig(sil_positive_part=positive_part)
-    loss, grads = sil_loss(nets, entries, config)
-    ref_loss, ref_grads = _reference(nets, entries, config)
+    loss, grads = sil_loss(nets, entries, TrainerConfig())
+    ref_loss, ref_grads = _reference(nets, entries)
     _close(loss, ref_loss)
     for name in ("decision", "action", "value"):
         for (dw, db), (rw, rb) in zip(grads[name], ref_grads[name]):
@@ -97,14 +92,12 @@ def test_kept_rows_match_all_rows(n, seed, above, positive_part):
     assert all(not dw.any() and not db.any() for dw, db in grads["value"])
 
 
-@given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
-       positive_part=st.booleans())
+@given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_no_positive_weight_gives_zero(n, seed, positive_part):
+def test_no_positive_weight_gives_zero(n, seed):
     nets = _nets(seed % 1000)
     entries = _entries(nets, n, seed, above=0.0)
-    config = TrainerConfig(sil_positive_part=positive_part)
-    loss, grads = sil_loss(nets, entries, config)
+    loss, grads = sil_loss(nets, entries, TrainerConfig())
     assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
     for name in ("decision", "action", "value"):
         assert all(not dw.any() and not db.any() for dw, db in grads[name])
@@ -126,8 +119,8 @@ def _recorded(net, seen):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
-       above=st.sampled_from([0.3, 0.7, 1.0]), positive_part=st.booleans())
-def test_each_net_sees_only_its_rows(n, seed, above, positive_part):
+       above=st.sampled_from([0.3, 0.7, 1.0]))
+def test_each_net_sees_only_its_rows(n, seed, above):
     nets = _nets(seed % 1000)
     entries = _entries(nets, n, seed, above)
     feats = np.array([tr.features for tr in entries])
@@ -139,7 +132,7 @@ def test_each_net_sees_only_its_rows(n, seed, above, positive_part):
     seen = {"decision": [], "action": []}
     for name, log in seen.items():
         _recorded(getattr(nets, name), log)
-    sil_loss(nets, entries, TrainerConfig(sil_positive_part=positive_part))
+    sil_loss(nets, entries, TrainerConfig())
     for name, rows in (("decision", weighed), ("action", took)):
         expected = [] if not len(rows) else ["forward", "backward"]
         assert [call for call, _ in seen[name]] == expected
