@@ -50,14 +50,6 @@ class BookState:
                 raise ValueError("queue sizes must be >= 1")
 
     @property
-    def p_ask(self) -> float:
-        return self.p_ask_ticks * self.tick
-
-    @property
-    def p_bid(self) -> float:
-        return self.p_bid_ticks * self.tick
-
-    @property
     def p_mid(self) -> float:
         return (self.p_ask_ticks + self.p_bid_ticks) * self.tick / 2.0
 

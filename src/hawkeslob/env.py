@@ -32,8 +32,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels as _k
-from .book import (AgentBookState, BookInitConfig, BookState, FillReport,
-                   pack_state, sample_initial_state, unpack_state)
+from .book import (BookInitConfig, FillReport, pack_state,
+                   sample_initial_state)
 from .events import Impulse, N_EVENT_TYPES
 from .hawkes import HawkesClock
 from .intervention import (ALL_IDX, RESTRICTED_IDX, InadmissibleImpulseError,
@@ -194,15 +194,8 @@ class MarketMakingEnv:
     # -- views ----------------------------------------------------------------
 
     @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
     def t(self) -> float:
         return self._step_index * self.config.decision_dt
-
-    def state(self) -> Tuple[BookState, AgentBookState]:
-        return unpack_state(self._book_arr, self._cash_arr, self._tick)
 
     def mark_to_market(self) -> float:
         return self._cash_arr[0] + self._inventory() * self._p_mid()

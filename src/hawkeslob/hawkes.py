@@ -76,11 +76,6 @@ class HawkesClock:
         return self.clock_f[_k.CK_NOW]
 
     @property
-    def exc(self) -> np.ndarray:
-        """The exponential excitation state as a ``(d, m)`` array (a copy)."""
-        return np.array(self.state[6], dtype=np.float64)
-
-    @property
     def n_events(self) -> int:
         return sum(self.counts)
 

@@ -53,7 +53,8 @@ def state_to_vector(book: BookState, agent: AgentBookState) -> np.ndarray:
     Prices in currency; queue priorities use -1 for "not resting".
     """
     return np.array([
-        agent.cash, agent.inventory, book.p_ask, book.p_bid,
+        agent.cash, agent.inventory, book.p_ask_ticks * book.tick,
+        book.p_bid_ticks * book.tick,
         book.q_ask, book.q_bid, book.q_ask_d, book.q_bid_d,
         -1.0 if agent.n_ask is None else agent.n_ask,
         -1.0 if agent.n_bid is None else agent.n_bid,
@@ -262,7 +263,8 @@ def dynkin_check(params: KernelParams, function: str = "intensity",
     if function not in ("intensity", "count"):
         raise ValueError("function must be 'intensity' or 'count'")
     if not 0 <= type_index < params.n_types:
-        raise IndexError("type_index out of range")
+        raise ValueError(f"type_index must be in [0, {params.n_types - 1}], "
+                         f"got {type_index}")
     m_ref, c_ref = dynkin_reference(params, t_end)
     reference = float(m_ref[type_index] if function == "intensity"
                       else c_ref[type_index])

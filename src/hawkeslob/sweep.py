@@ -47,6 +47,9 @@ class SweepCell:
 
 
 def expand_grid(grid: Dict[str, list]) -> List[SweepCell]:
+    if not isinstance(grid, dict):
+        raise ValueError(f"sweep grid must be a JSON object of axis lists, "
+                         f"got {grid!r}")
     unknown = set(grid) - set(SWEEP_AXES)
     if unknown:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")

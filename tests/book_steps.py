@@ -1,8 +1,9 @@
 """Test-side helpers for book transitions. Each one runs the kernels on the
 list state that the environment holds (``pack_state``, then
 ``_k.apply_exogenous`` / ``_k.apply_impulse`` with the queue-redraw
-probability given, then ``unpack_state``), and ``check_invariants``
-checks that list state."""
+probability given, then ``unpack_state``), ``env_state`` reads an
+environment's list state the same way, and ``check_invariants`` checks
+that list state."""
 
 from hawkeslob import _kernels as _k
 from hawkeslob.book import pack_state, unpack_state
@@ -26,6 +27,11 @@ def impulse(book, agent, psi, rng, redraw_p=REDRAW_P):
     k_cash = _k.apply_impulse(arr, cash, int(psi), book.tick, redraw_p,
                               rng.state)
     return (*unpack_state(arr, cash, book.tick), k_cash)
+
+
+def env_state(env):
+    """(book, agent) that the environment's list state holds."""
+    return unpack_state(env._book_arr, env._cash_arr, env._tick)
 
 
 def check_invariants(arr):

@@ -44,7 +44,7 @@ class TestEventExamples:
         agent = flat_agent()
         book2, agent2, fill = event(book, agent, EventType.MO_ASK,
                                     RandomStream(1))
-        assert book2.p_ask == pytest.approx(200.03)
+        assert book2.p_ask_ticks * book2.tick == pytest.approx(200.03)
         assert book2.q_ask == 3
         assert book2.q_ask_d >= 1
         assert book2.p_mid == pytest.approx(200.015)
@@ -78,7 +78,7 @@ class TestEventExamples:
         agent = flat_agent()
         book2, _, _ = event(book, agent, EventType.LO_ASK_IS,
                             RandomStream(1))
-        assert book2.p_ask == pytest.approx(200.02)
+        assert book2.p_ask_ticks * book2.tick == pytest.approx(200.02)
         assert book2.q_ask == 1
         assert book2.q_ask_d == 4
         assert book2.p_mid == pytest.approx(book.p_mid - 0.005)

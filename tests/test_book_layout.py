@@ -5,6 +5,7 @@ episodes, including one that reaches the market-order impulses."""
 
 import pytest
 
+from book_steps import env_state
 from hawkeslob import events
 from hawkeslob.agents import ProbabilisticAgent, RandomAgent
 from hawkeslob.book import pack_state
@@ -21,7 +22,7 @@ def _assert_scalar_layout(env):
     assert all(type(p) is float for p in env._fill_px)
     assert env.fills
     assert all(type(f.price) is float for f in env.fills)
-    arr, cash = pack_state(*env.state())
+    arr, cash = pack_state(*env_state(env))
     assert type(arr) is list and all(type(v) is int for v in arr)
     assert type(cash) is list and type(cash[0]) is float
     assert arr == env._book_arr and cash == env._cash_arr

@@ -16,16 +16,49 @@ from hawkeslob import cli
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 EMPTY_AXIS = '{"eta": [1, 2], "fee_bps": []}'
 MESSAGE = "sweep axis fee_bps: values must be a non-empty list, got []"
+NOT_AN_OBJECT = "sweep grid must be a JSON object of axis lists, got "
 
 
-def test_refused_grid_prints_one_line_and_exits_2(tmp_path):
+@pytest.mark.parametrize("grid, message", [
+    (EMPTY_AXIS, MESSAGE),
+    ("null", NOT_AN_OBJECT + "None"),
+    ("5", NOT_AN_OBJECT + "5"),
+    ('["eta"]', NOT_AN_OBJECT + "['eta']"),
+    ('"eta"', NOT_AN_OBJECT + "'eta'"),
+], ids=["empty-axis", "null", "number", "list", "string"])
+def test_refused_grid_prints_one_line_and_exits_2(tmp_path, grid, message):
+    out_dir = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, "-m", "hawkeslob.cli", "sweep", "--grid",
-         EMPTY_AXIS, "--out-dir", str(tmp_path)],
+        [sys.executable, "-m", "hawkeslob.cli", "sweep", "--grid", grid,
+         "--out-dir", str(out_dir)],
         capture_output=True, text=True)
     assert result.returncode == 2
-    assert result.stderr == f"hawkeslob: error: {MESSAGE}\n"
+    assert result.stderr == f"hawkeslob: error: {message}\n"
     assert result.stdout == ""
+    assert not out_dir.exists()
+
+
+def test_grid_file_that_is_not_an_object_is_refused(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text('["eta"]')
+    out_dir = tmp_path / "out"
+    assert cli.console_main(["sweep", "--grid-file", str(grid_file),
+                             "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == \
+        f"hawkeslob: error: {NOT_AN_OBJECT}['eta']\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("type_index", ["99", "-1"])
+def test_dynkin_type_index_out_of_range_is_refused(tmp_path, capsys,
+                                                   type_index):
+    out_dir = tmp_path / "out"
+    assert cli.console_main(["dynkin-check", "--type-index", type_index,
+                             "--paths", "2", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr() == (
+        "", f"hawkeslob: error: type_index must be in [0, 11], got "
+            f"{type_index}\n")
+    assert not out_dir.exists()
 
 
 def test_console_entry_reports_and_main_raises(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_clock_gives_the_bits_of_a_per_slot_loop(kernel):
     d = params.n_types
     clock = HawkesClock(params)
     ref = PerSlotClock(params)
-    m = clock.exc.shape[1]
+    m = np.shape(clock.state[6])[1]  # exc
     gen = np.random.default_rng(31)
     t = 0.0
     for _ in range(300):
@@ -110,4 +110,4 @@ def test_clock_gives_the_bits_of_a_per_slot_loop(kernel):
         ref.apply_event(j, t)
         assert _bits(clock.intensities()) == _bits(ref.intensities(t))
         padded = [row + [0.0] * (m - len(row)) for row in ref.exc]
-        assert _bits(clock.exc) == _bits(padded)
+        assert _bits(clock.state[6]) == _bits(padded)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from book_steps import env_state
 from hawkeslob import _kernels as _k
 from hawkeslob.env import (ACTION_SET_FULL, EpisodeConfig, MarketMakingEnv,
                            OBS_BLOCKS, OBS_DIM)
@@ -46,7 +47,7 @@ class TestReset:
         mids = []
         for k in range(1000):
             env.reset(seed=k)
-            mids.append(env.state()[0].p_mid)
+            mids.append(env_state(env)[0].p_mid)
         se = 10.0 / np.sqrt(len(mids))
         assert abs(np.mean(mids) - 200.0) < 3 * se
 
@@ -104,7 +105,7 @@ class TestRewards:
         while not done:
             _, r, done = env.step(0)
             acc += r.cash_delta + r.inventory_value_delta
-        book, agent = env.state()
+        book, agent = env_state(env)
         expected = agent.cash + agent.inventory * book.p_mid - 2000.0
         assert acc == pytest.approx(expected, abs=1e-9)
 

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from book_steps import check_invariants
+from book_steps import check_invariants, env_state
 from hawkeslob.agents import CheckpointAgent
 from hawkeslob.cli import main
 from hawkeslob.env import ACTION_SET_FULL, EpisodeConfig, MarketMakingEnv
@@ -94,10 +94,10 @@ def test_step_accepts_exactly_the_admissible_impulses(seed, draws):
     for k, draw in enumerate(draws):
         mask = env.admissible_mask()
         if draw >= 0 and not mask[draw]:
-            before = env.state()
+            before = env_state(env)
             with pytest.raises(InadmissibleImpulseError):
                 env.step(1, Impulse(draw))
-            assert env.state() == before
+            assert env_state(env) == before
             draw = -1
         if draw >= 0:
             _, reward, done = env.step(1, Impulse(draw))

@@ -5,6 +5,7 @@ a wrapped power-law event log is refused, and ``simulate`` writes the
 import numpy as np
 import pytest
 
+from book_steps import env_state
 from hawkeslob import _kernels as _k
 from hawkeslob.agents import RandomAgent
 from hawkeslob.cli import main
@@ -16,7 +17,7 @@ from hawkeslob.rng import RandomStream
 
 
 def _cash_inventory(env):
-    _, agent = env.state()
+    _, agent = env_state(env)
     return agent.cash, agent.inventory
 
 
@@ -27,11 +28,12 @@ def test_fills_explain_every_hold_step(seed):
     agent = RandomAgent(RandomStream(100 + seed))
     obs = env.reset(seed=seed)
     hold_fills = 0
-    while not env.done:
+    done = False
+    while not done:
         decision, impulse = agent.act(obs, env.admissible_mask())
         cash0, inv0 = _cash_inventory(env)
         n0 = len(env.fills)
-        obs, _, _ = env.step(decision, impulse)
+        obs, _, done = env.step(decision, impulse)
         if decision == 1:
             continue
         cash1, inv1 = _cash_inventory(env)
@@ -51,9 +53,9 @@ def _one_ask_quote_run(decision_dt, horizon, seed):
         horizon=horizon, decision_dt=decision_dt, eta=0.0, kappa=0.0,
         fee_bps=0.0))
     env.reset(seed=seed)
-    env.step(1, Impulse.LO_T_ASK)
-    while not env.done:
-        env.step(0)
+    _, _, done = env.step(1, Impulse.LO_T_ASK)
+    while not done:
+        _, _, done = env.step(0)
     return env
 
 
@@ -66,7 +68,7 @@ def test_long_interval_matches_fine_grid():
     assert coarse._clock.n_events > 4096
     assert coarse._clock.n_events == fine._clock.n_events
     assert coarse.fills == fine.fills and len(coarse.fills) == 1
-    assert coarse.state() == fine.state()
+    assert env_state(coarse) == env_state(fine)
     assert coarse.total_reward == pytest.approx(fine.total_reward, abs=1e-9)
     assert coarse.total_reward != 0.0
 

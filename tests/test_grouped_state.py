@@ -31,15 +31,20 @@ def _brute_force(params, times, types, t):
     return lam
 
 
+def _exc_shape(params):
+    """Shape of a new clock's excitation state, ``state[6]``."""
+    return np.shape(HawkesClock(params).state[6])
+
+
 def test_slot_count_per_kernel():
     d = 12
-    assert HawkesClock(default_kernel_params()).exc.shape == (d, 1)
-    assert HawkesClock(default_kernel_params("poisson")).exc.shape == (d, 0)
-    assert HawkesClock(poisson_flow_params(0.5)).exc.shape == (d, 0)
+    assert _exc_shape(default_kernel_params()) == (d, 1)
+    assert _exc_shape(default_kernel_params("poisson")) == (d, 0)
+    assert _exc_shape(poisson_flow_params(0.5)) == (d, 0)
     # Row 1 has three distinct decays among its excited sources.
-    assert HawkesClock(_mixed_params()).exc.shape == (3, 3)
+    assert _exc_shape(_mixed_params()) == (3, 3)
     # The power-law kernel keeps an event log, not slots.
-    assert HawkesClock(default_kernel_params("powerlaw")).exc.shape == (d, 0)
+    assert _exc_shape(default_kernel_params("powerlaw")) == (d, 0)
 
 
 def test_slot_tables():
@@ -108,4 +113,4 @@ def test_simulate_in_chunks_gives_the_same_events(params):
     assert len(t_one) > 50
     assert np.array_equal(np.concatenate(t_parts), t_one)
     assert np.array_equal(np.concatenate(e_parts), e_one)
-    assert np.array_equal(chunked.exc, whole.exc)
+    assert chunked.state[6] == whole.state[6]  # exc

@@ -84,7 +84,7 @@ class TestApplyImpulse:
         assert agent2.n_ask == 0
         assert book2.q_ask == 1
         assert book2.q_ask_d == 4
-        assert book2.p_ask == pytest.approx(200.02)
+        assert book2.p_ask_ticks * book2.tick == pytest.approx(200.02)
         assert k == 0.0
 
     def test_co_t_promotion_example(self):
@@ -92,7 +92,7 @@ class TestApplyImpulse:
         agent = flat_agent(n_ask=0)
         book2, agent2, k = impulse(book, agent, Impulse.CO_T_ASK,
                                    RandomStream(1))
-        assert book2.p_ask == pytest.approx(200.03)
+        assert book2.p_ask_ticks * book2.tick == pytest.approx(200.03)
         assert book2.p_mid == pytest.approx(book.p_mid + 0.005)
         assert book2.q_ask == 4
         assert agent2.n_ask is None

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from book_steps import env_state
 from config_doc import default_config_document
 import hawkeslob
 from hawkeslob import _kernels as _k
@@ -69,7 +70,7 @@ def test_reset_defaults_to_seed_zero():
     states = []
     for seed in (None, 0, 987):
         obs = env.reset() if seed is None else env.reset(seed=seed)
-        states.append((obs.vector.tolist(), env.state()))
+        states.append((obs.vector.tolist(), env_state(env)))
     assert states[0] == states[1] != states[2]
 
 
