@@ -38,43 +38,53 @@ kernel::
 
     kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i, counts, log_t, log_e
 
-``HawkesClock`` builds it once as ``clock.state``, and callers pass
-``*clock.state``. ``clock_f`` holds four floats (now, excitation anchor
-time, pending thinning candidate time or nan, thinning bound or nan).
-The thinning bound is carried from one proposal to the next: it is the
-total intensity at ``now`` as the last proposal left it, which a pending
-candidate was drawn with, and nan when it must be evaluated afresh (see
-``next_event``). ``clock_i`` holds two ints (event-log write position,
-event-log size) and ``counts`` one int per type. The event log
-``log_t`` / ``log_e`` is ``float64`` / ``int64`` arrays; the newest entry
-holds the last event time.
+``KernelParams.clock_args`` builds the parameter part (``kind`` to
+``horizon``) once per parameter set; ``HawkesClock`` builds the whole
+block once as ``clock.state``, and callers pass ``*clock.state``. Each
+fact is held once:
+
+* ``clock_f`` holds four floats (now, excitation anchor time, pending
+  thinning candidate time or nan, thinning bound or nan). The thinning
+  bound is carried from one proposal to the next: it is the total
+  intensity at ``now`` as the last proposal left it, which a pending
+  candidate was drawn with, and nan when it must be evaluated afresh
+  (see ``next_event``).
+* ``clock_i`` holds one int, the number of events logged, n.
+* ``counts`` holds one int per type; they sum to n.
+* ``log_t`` / ``log_e`` is the event log, a ring buffer of ``float64`` /
+  ``int64`` arrays of capacity cap. Event k (from 0) sits at ``k % cap``,
+  so the newest entry, at ``(n - 1) % cap``, holds the last event time,
+  the next event is written at ``n % cap``, and ``min(n, cap)`` entries
+  are kept; once n > cap the oldest have been overwritten.
 
 ``mu``, ``exc``, ``clock_f``, ``clock_i``, ``counts`` and the
 exponential tables are lists of Python floats and ints, nested for the
-rank-2 ones (``KernelParams.clock_args`` builds the tables). The event
-log and the power-law tables are numpy arrays, because the power-law sum
-reads them as one array expression. The kernels read the block only by
-``x[i]`` / ``x[i][k]``, iteration over a row and ``len``, so an
-all-array block gives the same bits (``tests/test_clock_layout.py``
-keeps that as a reference check).
+rank-2 ones. The event log and the power-law tables are numpy arrays,
+because the power-law sum reads them as one array expression. The
+kernels read the block only by ``x[i]`` / ``x[i][k]``, iteration over a
+row and ``len``, so an all-array block gives the same bits
+(``tests/test_clock_layout.py`` keeps that as a reference check).
 
-The tables ``a1`` and ``a2`` are rank 2 for both kinds (lists of lists
-for exponential kernels, arrays for power-law ones); ``a3`` is rank 2 for
-power-law kernels and three rows of their own lengths for exponential
-ones:
+The tables ``a1`` and ``a2`` are rank 2 for both kinds; ``a3`` is rank 2
+for power-law kernels and three rows of their own lengths for
+exponential ones:
 
-* exponential (kind 0): decay-grouped. ``exc`` is ``[d, m]``, where
-  slot k of row i holds the excitation, at the anchor time, from every
-  source whose decay is row i's k-th distinct decay; only sources with
-  alpha_ij != 0 count. m is 1 for row-constant decay, at most d, and 0
-  when alpha is zero (the intensity is then ``mu`` exactly). ``a1`` is
-  ``[d, d*m]`` with ``a1[i, j*m + k]`` the jump an event of type j adds
-  to slot k of row i (alpha_ij or 0) and ``a2`` is ``[d, m]`` (slot
-  decays). ``a3`` holds the decay-group tables, three rows of their own
-  lengths: ``a3[0]`` the G distinct slot decays, ``a3[1][i*m + k]`` the
-  group of slot k of row i, and ``a3[2][j]`` the total intensity an
-  event of type j adds at age 0 (the column sum of ``a1`` over j's
-  slots).
+* exponential (kind 0): decay-grouped. Row i's slots are the distinct
+  decays gamma_ij over the sources j with alpha_ij != 0, in ascending
+  order, and m is the largest slot count of any row: 1 for row-constant
+  decay, at most d, and 0 when alpha is zero (the intensity is then
+  ``mu`` exactly). ``exc`` is ``[d, m]``: slot k of row i holds the
+  excitation, at the anchor time, from every source whose decay is row
+  i's slot k. ``a1`` is ``[d, d*m]`` with ``a1[i, j*m + k]`` the jump an
+  event of type j adds to slot k of row i (alpha_ij when gamma_ij is
+  that slot's decay, else 0). ``a2`` is ``[d, m]``, the slot decays,
+  padded with 1.0 past a row's last slot. ``a3`` holds the decay-group
+  tables: ``a3[0]`` the G distinct slot decays (G = 0 when m = 0),
+  ``a3[1][i*m + k]`` the index in ``a3[0]`` of slot k of row i (0 for a
+  padded slot, which never holds excitation), and ``a3[2][j]`` the total
+  intensity an event of type j adds at age 0: the sum of
+  ``a1[i, j*m + k]`` over i, then k, added one scalar at a time in that
+  order. ``horizon`` is inf.
 * power-law (kind 1): ``a1``, ``a2``, ``a3`` are alpha_pl, beta_pl and
   delta_pl (``[d, d]``), ``horizon`` is the truncation age, and ``exc``
   is unused (m = 0); the intensity is a sum over the event log, one
@@ -120,8 +130,8 @@ PA, PB, QA, QB, QAD, QBD, NA, NB, YINV = 0, 1, 2, 3, 4, 5, 6, 7, 8
 SIDE = ((QB, QBD, NB, PB, -1), (QA, QAD, NA, PA, 1))
 # --- clock float slots ------------------------------------------------------
 CK_NOW, CK_ANCHOR, CK_PEND_T, CK_BOUND = 0, 1, 2, 3
-# --- clock int slots --------------------------------------------------------
-CK_LOG_NEXT, CK_LOG_SIZE = 0, 1
+# --- clock int slot ---------------------------------------------------------
+CK_N_EVENTS = 0
 
 KIND_EXP = 0
 KIND_POWERLAW = 1
@@ -300,15 +310,15 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
 
     Exponential kernels (kind 0): the decay pass from the anchor to ``t``;
     ``exc`` is not mutated, so the value at a given time does not depend
-    on how many intermediate queries were made. Power-law kernels (kind
-    1): direct
-    sum over the logged events at most
-    ``horizon`` seconds old, one ``[n, d]`` array expression whose rows are
-    added in log order, oldest first, so a given set of entries gives the
-    same bits wherever the ring buffer holds them; raises ``ValueError``
-    when an entry has been overwritten (more events than ``log_capacity``)
-    and the oldest kept entry is within ``horizon``, since overwritten
-    events would be missing.
+    on how many intermediate queries were made.
+
+    Power-law kernels (kind 1): direct sum over the logged events at most
+    ``horizon`` seconds old, one ``[n, d]`` array expression whose rows
+    are added in log order, oldest first, so a given set of entries gives
+    the same bits wherever the ring buffer holds them. Raises
+    ``ValueError`` when an entry has been overwritten (n > cap) and the
+    oldest kept entry is within ``horizon``, since overwritten events
+    would be missing.
     """
     if kind == KIND_EXP:
         return _decay(mu, a3, exc, t - clock_f[CK_ANCHOR], out,
@@ -316,15 +326,12 @@ def intensities_at(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
     d = len(mu)
     total = 0.0
     cap = len(log_t)
-    log_next = clock_i[CK_LOG_NEXT]
-    full = clock_i[CK_LOG_SIZE] == cap
-    if full:
-        n_logged = 0
-        for c in counts:
-            n_logged += c
-        if n_logged > cap and t - log_t[log_next] <= horizon:
-            raise ValueError("event log wrapped within the power-law "
-                             "horizon; raise log_capacity")
+    n_logged = clock_i[CK_N_EVENTS]
+    log_next = n_logged % cap
+    full = n_logged >= cap
+    if n_logged > cap and t - log_t[log_next] <= horizon:
+        raise ValueError("event log wrapped within the power-law "
+                         "horizon; raise log_capacity")
     # The kept entries, oldest first: a run ending at the newest entry.
     # In a full log it may start in the older slice [log_next, cap),
     # and then it takes all of the newer slice [0, log_next).
@@ -380,13 +387,11 @@ def _log_event(clock_f, clock_i, counts, log_t, log_e, t_ev, j_ev):
     kernel)."""
     clock_f[CK_ANCHOR] = t_ev
     counts[j_ev] += 1
-    cap = len(log_t)
-    pos = clock_i[CK_LOG_NEXT]
+    n_logged = clock_i[CK_N_EVENTS]
+    pos = n_logged % len(log_t)
     log_t[pos] = t_ev
     log_e[pos] = j_ev
-    clock_i[CK_LOG_NEXT] = (pos + 1) % cap
-    if clock_i[CK_LOG_SIZE] < cap:
-        clock_i[CK_LOG_SIZE] += 1
+    clock_i[CK_N_EVENTS] = n_logged + 1
 
 
 def _jump(a1, j):
@@ -494,9 +499,9 @@ def history_counts(kind, mu, a1, a2, a3, horizon, exc, clock_f, clock_i,
         out[i] = 0
     cap = len(log_t)
     now = clock_f[CK_NOW]
-    log_next = clock_i[CK_LOG_NEXT]
-    for k in range(clock_i[CK_LOG_SIZE]):
-        idx = (log_next - 1 - k) % cap
+    n_logged = clock_i[CK_N_EVENTS]
+    for k in range(min(n_logged, cap)):
+        idx = (n_logged - 1 - k) % cap
         if now - log_t[idx] > window:
             break
         out[log_e[idx]] += 1

@@ -109,8 +109,7 @@ class BookInitConfig:
     spread ticks ~ 1 + Geometric(spread_geom_p), each queue size
     ~ 1 + Geometric(redraw_geom_p), the law that also redraws a promoted
     or replenished queue during the episode. Draw order: mid, spread,
-    q_ask, q_bid, q_ask_d, q_bid_d (then inventory when
-    ``sample_inventory``).
+    q_ask, q_bid, q_ask_d, q_bid_d.
     """
 
     p_mid_mean: float = 200.0
@@ -118,10 +117,9 @@ class BookInitConfig:
     spread_geom_p: float = 0.8
     tick: float = 0.01
     redraw_geom_p: float = 0.4
-    inventory_std: float = 2.0
 
     def __post_init__(self):
-        for name in ("p_mid_mean", "p_mid_var", "tick", "inventory_std"):
+        for name in ("p_mid_mean", "p_mid_var", "tick"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -130,10 +128,8 @@ class BookInitConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if not self.tick > 0.0:
             raise ValueError(f"tick must be > 0, got {self.tick}")
-        for name in ("p_mid_var", "inventory_std"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.p_mid_var >= 0.0:
+            raise ValueError(f"p_mid_var must be >= 0, got {self.p_mid_var}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -154,17 +150,6 @@ def sample_book(config: BookInitConfig, rng: RandomStream) -> BookState:
 
 def sample_initial_state(config: BookInitConfig, rng: RandomStream,
                          initial_cash: float = 2000.0,
-                         sample_inventory: bool = False,
                          ) -> Tuple[BookState, AgentBookState]:
-    """Fresh episode state: sampled book, flat agent (or sampled inventory).
-
-    ``sample_inventory`` draws Y ~ Normal(0, inventory_std^2) rounded to an
-    integer, the domain-sampling variant of ``qvi.sample_reduced_state``;
-    episodes start flat.
-    """
-    book = sample_book(config, rng)
-    inventory = 0
-    if sample_inventory:
-        inventory = int(round(rng.normal(0.0, config.inventory_std)))
-    agent = AgentBookState(cash=initial_cash, inventory=inventory)
-    return book, agent
+    """Fresh episode state: sampled book, flat agent."""
+    return sample_book(config, rng), AgentBookState(cash=initial_cash)

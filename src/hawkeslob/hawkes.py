@@ -1,12 +1,9 @@
 """Multivariate Hawkes process simulation and queries.
 
 The clock owns the process state. For exponential kernels it is the
-decay-grouped excitation ``exc[d, m]`` anchored at the last event: slot k
-of row i sums the excitation from every source whose decay is row i's
-k-th distinct decay, which is exact because the intensity is Markov in
-that state (closed-form recursion, one decay per slot per event); m is 1
-for row-constant decay, at most d, and 0 for zero excitation
-(``KernelParams.kernel_args``). For power-law kernels it is a truncated
+decay-grouped excitation anchored at the last event, which is exact
+because the intensity is Markov in that state (closed-form recursion,
+one decay per slot per event). For power-law kernels it is a truncated
 event log, summed as one array expression over the entries within the
 truncation horizon; a power-law query raises ``ValueError`` once such an
 entry has been overwritten. Sampling uses Ogata thinning with the
@@ -18,11 +15,8 @@ registered on the clock by the same kernel step (``_kernels.next_event``)
 that samples it. An unconsumed proposal crossing the horizon is kept as
 a pending candidate so chunked simulation replays the identical stream.
 
-The state is lists of Python floats and ints (nested for ``exc`` and the
-exponential tables), which plain Python indexes faster than numpy
-scalars. The event log (``log_t``, ``log_e``) and the power-law tables
-are numpy arrays, since the power-law sum reads them as one array
-expression.
+The state is the clock kernels' argument block, ``HawkesClock.state``,
+whose layout ``_kernels`` documents.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ class HawkesClock:
         m = params.n_slots
         exc = [[0.0] * m for _ in range(d)]
         self.clock_f = [0.0, 0.0, np.nan, np.nan]
-        self.clock_i = [0, 0]
+        self.clock_i = [0]
         self.counts = [0] * d
         self.lam_buf = [0.0] * d
         self.log_t = np.zeros(log_capacity)
@@ -77,7 +71,7 @@ class HawkesClock:
 
     @property
     def n_events(self) -> int:
-        return sum(self.counts)
+        return self.clock_i[_k.CK_N_EVENTS]
 
     # -- queries -------------------------------------------------------------
 
@@ -124,7 +118,7 @@ class HawkesClock:
             raise ValueError(f"window must be finite and > 0, got {window}")
         hist = self._hist
         d = len(self.counts)
-        n = sum(self.counts)
+        n = self.clock_i[_k.CK_N_EVENTS]
         now = self.clock_f[_k.CK_NOW]
         log_t = self.log_t
         cap = len(log_t)
@@ -142,8 +136,7 @@ class HawkesClock:
                 tail += 1
         self._hist_tail = tail
         self._hist_head = n
-        hist[d] = (now - log_t.item(self.clock_i[_k.CK_LOG_NEXT] - 1)
-                   if n else window)
+        hist[d] = now - log_t.item((n - 1) % cap) if n else window
         return hist
 
     # -- evolution -----------------------------------------------------------

@@ -64,6 +64,17 @@ def _layer_views(block: np.ndarray, shapes: Sequence[Tuple[int, int]]
     return views
 
 
+def require_keys(doc, keys: Sequence[str], what: str) -> None:
+    """ValueError naming ``what`` when ``doc`` is not a JSON object or
+    lacks one of ``keys``, which are then named."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"missing {what} key {', '.join(missing)}")
+
+
 def _xavier_uniform(rng: RandomStream, fan_in: int, fan_out: int
                     ) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -290,7 +301,11 @@ class DenseNet:
         bias shape does not match ``layer_sizes``, an Adam moment's shape
         does not match its weight or bias, a weight, bias or moment is not
         finite, an ``adam_v`` entry is negative, or ``adam_t`` is not a
-        non-negative integer."""
+        non-negative integer, and when ``doc`` is not an object holding
+        every ``to_dict`` key."""
+        require_keys(doc, ("layer_sizes", "activation", "head",
+                           "learning_rate", "weights", "biases", "adam_m",
+                           "adam_v", "adam_t"), "checkpoint net")
         net = cls.__new__(cls)
         net._configure(doc["layer_sizes"], doc["activation"], doc["head"],
                        doc["learning_rate"])

@@ -133,82 +133,48 @@ class KernelParams:
         return np.linalg.solve(np.eye(self.n_types) - b, self.mu)
 
     @cached_property
-    def kernel_args(self):
+    def clock_args(self):
         """(kind_code, mu, a1, a2, a3, horizon): the parameter part of the
-        clock kernels' argument block (``HawkesClock.state``).
-
-        Exponential kernels use a decay-grouped layout. Row i's slots are
-        the distinct decays gamma_ij over the sources j with alpha_ij != 0;
-        m is the largest slot count of any row (1 for row-constant decay,
-        at most d, 0 when alpha is zero). ``a1`` has shape (d, d*m) with
-        ``a1[i, j*m + k]`` = alpha_ij when gamma_ij is row i's slot k and 0
-        otherwise (``alpha`` itself when m = 1); ``a2`` has shape (d, m)
-        and holds the slot decays, padded with 1.0 past a row's last slot.
-        ``a3`` holds the decay-group tables, three rows of their own
-        lengths:
-
-        * ``a3[0]``: the G distinct slot decays (G = 0 when m = 0);
-        * ``a3[1]``: slot -> group, ``a3[1][i*m + k]`` the index in
-          ``a3[0]`` of ``a2[i, k]`` (0 for a padded slot, which never
-          holds excitation);
-        * ``a3[2]``: per type j, the total intensity an event of type j
-          adds at age 0, the sum of ``a1[i, j*m + k]`` over i, then k,
-          added one scalar at a time in that order.
-
-        Power-law kernels pass ``alpha_pl``, ``beta_pl`` and ``delta_pl``.
-        The arrays are built once per parameter set and shared by every
-        clock built from it.
+        clock kernels' argument block, in the layout ``_kernels``
+        documents. Built once per parameter set and shared by every clock
+        built from it.
         """
         if self.kind == POWERLAW:
-            return KIND_POWERLAW, self.mu, self.alpha_pl, self.beta_pl, \
-                self.delta_pl, float(self.pl_horizon)
+            return KIND_POWERLAW, self.mu.tolist(), self.alpha_pl, \
+                self.beta_pl, self.delta_pl, float(self.pl_horizon)
         d = self.n_types
-        slots = [sorted(set(self.gamma[i][self.alpha[i] != 0.0].tolist()))
+        alpha = self.alpha.tolist()
+        gamma = self.gamma.tolist()
+        slots = [sorted({g for a, g in zip(alpha[i], gamma[i]) if a != 0.0})
                  for i in range(d)]
         m = max(len(row) for row in slots)
-        a1 = np.zeros((d, d * m))
-        a2 = np.ones((d, m))
+        a1 = [[0.0] * (d * m) for _ in range(d)]
+        a2 = [row + [1.0] * (m - len(row)) for row in slots]
         for i, row in enumerate(slots):
-            a2[i, :len(row)] = row
-            for j in np.flatnonzero(self.alpha[i]):
-                a1[i, j * m + row.index(self.gamma[i, j])] = self.alpha[i, j]
+            for j in range(d):
+                if alpha[i][j] != 0.0:
+                    a1[i][j * m + row.index(gamma[i][j])] = alpha[i][j]
         decays = sorted(set().union(*slots))
         group = [decays.index(row[k]) if k < len(row) else 0
                  for row in slots for k in range(m)]
         # One scalar at a time, in row order: numpy sums pairwise, and the
         # builtin ``sum`` compensates from Python 3.12 on.
-        a1_rows = a1.tolist()
         jumps = []
         for j in range(d):
             s = 0.0
-            for a1_i in a1_rows:
+            for a1_i in a1:
                 for c in range(j * m, (j + 1) * m):
                     s += a1_i[c]
             jumps.append(s)
-        a3 = (np.array(decays, dtype=np.float64),
-              np.array(group, dtype=np.int64), np.array(jumps))
-        return KIND_EXP, self.mu, a1, a2, a3, np.inf
-
-    @cached_property
-    def clock_args(self):
-        """``kernel_args`` as ``HawkesClock.state`` passes it: ``mu`` and
-        the exponential ``a1``, ``a2`` and ``a3`` as (nested) lists of
-        Python floats and ints, which the kernels index faster than
-        arrays. The power-law tables stay arrays, which the kernel
-        fancy-indexes. Built once per parameter set.
-        """
-        kind, mu, a1, a2, a3, horizon = self.kernel_args
-        if kind == KIND_EXP:
-            a1, a2 = a1.tolist(), a2.tolist()
-            a3 = [row.tolist() for row in a3]
-        return kind, mu.tolist(), a1, a2, a3, horizon
+        return KIND_EXP, self.mu.tolist(), a1, a2, [decays, group, jumps], \
+            np.inf
 
     @property
     def n_slots(self) -> int:
         """Columns m of the clock's exponential state ``exc[d, m]``; 0 for
         power-law kernels, which keep an event log instead."""
         if self.kind == EXPONENTIAL:
-            return self.kernel_args[3].shape[1]
+            return len(self.clock_args[3][0])
         return 0
 
     def to_dict(self) -> dict:

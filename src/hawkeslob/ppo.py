@@ -32,7 +32,7 @@ from .events import Impulse, RESTRICTED_IMPULSES
 from .book import BookInitConfig
 from .intervention import RESTRICTED_IDX
 from .metrics import EpisodeStats, read_json, run_episode, write_csv
-from .nn import HEAD_SIZES, DenseNet, Gradients
+from .nn import HEAD_SIZES, DenseNet, Gradients, require_keys
 from .params import KernelParams
 from .rng import BlockStream, RandomStream, derive_seed, draw_count
 
@@ -116,10 +116,11 @@ def build_normalizer(kernel_params: KernelParams, config: EpisodeConfig,
     stat = kernel_params.stationary_rates
     center = np.zeros(OBS_DIM)
     scale = np.ones(OBS_DIM)
-    center[0] = config.initial_cash
-    scale[0] = 200.0
-    scale[1] = 5.0
-    scale[2] = 5.0 * tick
+    for name, c, sc in (("cash", config.initial_cash, 200.0),
+                        ("inventory", 0.0, 5.0), ("spread", 0.0, 5.0 * tick)):
+        lo, hi = OBS_BLOCKS[name]
+        center[lo:hi] = c
+        scale[lo:hi] = sc
     lo, hi = OBS_BLOCKS["intensity"]
     center[lo:hi] = stat
     scale[lo:hi] = np.maximum(stat, 1e-3)
@@ -202,12 +203,15 @@ class PolicyNets:
     def from_dict(cls, doc: dict) -> "PolicyNets":
         """Rebuild from ``to_dict`` output; ValueError on a format version
         other than ``CHECKPOINT_FORMAT`` (a file without one predates
-        versioning and loads) or a layout that does not fit the observation
-        vector or the policy heads."""
-        version = doc.get("format", CHECKPOINT_FORMAT)
-        if version != CHECKPOINT_FORMAT:
-            raise ValueError(f"checkpoint format {version!r} is not "
+        versioning and loads), on a document that is not an object holding
+        the nets and the feature map, or on a layout that does not fit the
+        observation vector or the policy heads."""
+        if isinstance(doc, dict) and \
+                doc.get("format", CHECKPOINT_FORMAT) != CHECKPOINT_FORMAT:
+            raise ValueError(f"checkpoint format {doc['format']!r} is not "
                              f"supported; expected {CHECKPOINT_FORMAT}")
+        require_keys(doc, (*_HEADS, "center", "scale", "ablation"),
+                     "checkpoint")
         nets = cls.__new__(cls)
         for name, head in _HEADS.items():
             net = DenseNet.from_dict(doc[name])
@@ -428,7 +432,8 @@ class SILBuffer:
 
 def _policy_forward(nets: PolicyNets, feats: np.ndarray, decisions: np.ndarray,
                     actions: np.ndarray, masks: np.ndarray):
-    """Shared forward pieces for the PPO and SIL losses.
+    """Forward pieces of ``ppo_loss`` (``sil_loss`` runs its own forward
+    over the rows it keeps).
 
     The first two are the layer inputs of the decision and action nets,
     which their ``backward`` takes; the last is the joint log-prob.

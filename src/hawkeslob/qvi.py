@@ -26,14 +26,14 @@ candidates must be supported.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels as _k
 from .book import (AgentBookState, BookInitConfig, BookState, pack_state,
-                   sample_initial_state, unpack_state)
+                   sample_book, unpack_state)
 from .events import (EVENT_KIND, EVENT_SIDE, IMPULSE_KIND, IMPULSE_SIDE,
                      EventType, Impulse, N_EVENT_TYPES)
 from .hawkes import HawkesClock
@@ -45,6 +45,8 @@ CandidateFunction = Callable[[float, np.ndarray, np.ndarray], float]
 _GEOM_TAIL = 1e-12
 
 _H_REL = 1e-4  # central-difference step, relative to max(1, |x|)
+
+_INVENTORY_STD = 2.0  # of the domain-sampling inventory draw
 
 
 def state_to_vector(book: BookState, agent: AgentBookState) -> np.ndarray:
@@ -185,17 +187,19 @@ def generator(phi: CandidateFunction, t: float, lam: np.ndarray,
 def sample_reduced_state(config: BookInitConfig, rng: RandomStream,
                          initial_cash: float = 2000.0,
                          ) -> Tuple[BookState, AgentBookState]:
-    """Book from the initial-state distributions; inventory ~ rounded
-    normal; each side rests an order with probability 1/2 at a uniform
-    queue priority."""
-    book, agent = sample_initial_state(config, rng, initial_cash,
-                                       sample_inventory=True)
+    """Book from the initial-state distributions; inventory ~ Normal(0,
+    ``_INVENTORY_STD``^2) rounded to an integer; each side rests an order
+    with probability 1/2 at a uniform queue priority, drawn in that
+    order."""
+    book = sample_book(config, rng)
+    inventory = int(round(rng.normal(0.0, _INVENTORY_STD)))
     n_ask = n_bid = None
     if rng.uniform() < 0.5:
         n_ask = rng.integer(book.q_ask + book.q_ask_d)
     if rng.uniform() < 0.5:
         n_bid = rng.integer(book.q_bid + book.q_bid_d)
-    return book, replace(agent, n_ask=n_ask, n_bid=n_bid)
+    return book, AgentBookState(cash=initial_cash, inventory=inventory,
+                                n_ask=n_ask, n_bid=n_bid)
 
 
 def sample_intensities(params: KernelParams, rng: RandomStream) -> np.ndarray:

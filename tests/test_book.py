@@ -12,6 +12,7 @@ from hawkeslob.book import (AgentBookState, BookInitConfig, BookState,
                             pack_state, sample_book, sample_initial_state)
 from hawkeslob.env import EpisodeConfig, MarketMakingEnv
 from hawkeslob.events import EventType, Impulse
+from hawkeslob.qvi import sample_reduced_state
 from hawkeslob.rng import RandomStream
 
 
@@ -262,8 +263,7 @@ class TestInitialSampling:
 
     def test_inventory_sampling_rounds_normal(self):
         rng = RandomStream(103)
-        invs = [sample_initial_state(BookInitConfig(), rng,
-                                     sample_inventory=True)[1].inventory
+        invs = [sample_reduced_state(BookInitConfig(), rng)[1].inventory
                 for _ in range(2000)]
         assert all(isinstance(v, int) for v in invs)
         assert abs(np.mean(invs)) < 3 * 2.0 / np.sqrt(len(invs))

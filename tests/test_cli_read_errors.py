@@ -5,17 +5,23 @@ reported as ``hawkeslob: error: cannot read <what> '<path>': <reason>``
 with exit status 2, as any refused input is; ``cli.main`` raises it as a
 ``ValueError``. One that is not JSON is reported as ``<what> '<path>' is
 not valid JSON: <reason>`` with the line and column, and an inline
-``--grid`` as ``--grid is not valid JSON: <reason>``. A refused input
-leaves no ``--out-dir`` behind. An output that cannot be written is not
-an input, and still raises.
+``--grid`` as ``--grid is not valid JSON: <reason>``. A checkpoint that
+is not an object holding every key ``PolicyNets.to_dict`` writes is
+refused by the missing key. A refused input leaves no ``--out-dir``
+behind. An output that cannot be written is not an input, and still
+raises.
 """
 
+import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hawkeslob import cli
+from hawkeslob.env import OBS_DIM
+from hawkeslob.ppo import PolicyNets
 
 
 def test_missing_config_prints_one_line_and_exits_2(tmp_path):
@@ -106,4 +112,31 @@ def test_refused_run_leaves_no_out_dir(tmp_path, capsys, argv):
             for arg in argv]
     assert cli.console_main(argv + ["--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith("hawkeslob: error: ")
+    assert not out.exists()
+
+
+
+def _checkpoint_without_activation():
+    doc = PolicyNets(np.zeros(OBS_DIM), np.ones(OBS_DIM),
+                     hidden_sizes=(4,)).to_dict()
+    del doc["decision"]["activation"]
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format": 1}, "missing checkpoint key decision, action, value, "
+                    "center, scale, ablation"),
+    ([1, 2], "checkpoint must be a JSON object, got list"),
+    (_checkpoint_without_activation(),
+     "missing checkpoint net key activation"),
+], ids=["no-nets", "not-an-object", "net-without-activation"])
+def test_malformed_checkpoint_prints_one_line_and_exits_2(tmp_path, capsys,
+                                                          doc, message):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["eval", "--agent", f"checkpoint:{path}", "--episodes", "1",
+            "--out-dir", str(out)]
+    assert cli.console_main(argv) == 2
+    assert capsys.readouterr().err == f"hawkeslob: error: {message}\n"
     assert not out.exists()

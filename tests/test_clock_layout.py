@@ -23,7 +23,7 @@ from hawkeslob.hawkes import HawkesClock
 from hawkeslob.metrics import run_episode
 from hawkeslob.params import default_kernel_params
 from hawkeslob.rng import RandomStream
-from test_grouped_state import _mixed_params
+from test_grouped_state import _array_args, _mixed_params
 
 KERNELS = {
     "exponential": default_kernel_params,
@@ -74,11 +74,11 @@ def test_env_episode_keeps_python_scalars():
 
 
 def _array_state(params, cap):
-    """A fresh clock state with every part an array: the tables from
-    ``kernel_args`` and array clock slots."""
+    """A fresh clock state with every part an array: the tables of
+    ``clock_args`` as arrays and array clock slots."""
     d, m = params.n_types, params.n_slots
-    return (*params.kernel_args, np.zeros((d, m)),
-            np.array([0.0, 0.0, np.nan, np.nan]), np.zeros(2, np.int64),
+    return (*_array_args(params), np.zeros((d, m)),
+            np.array([0.0, 0.0, np.nan, np.nan]), np.zeros(1, np.int64),
             np.zeros(d, np.int64), np.zeros(cap), np.zeros(cap, np.int64))
 
 

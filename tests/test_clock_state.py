@@ -27,8 +27,8 @@ def test_time_since_last_event_across_log_wrap():
         t = 0.05 * (k + 1)
         clock.apply_event(k % 12, t)
         assert clock.history_features(window)[-1] == 0.0
-        if k == 7:  # write position has just wrapped to 0
-            assert clock.clock_i[_k.CK_LOG_NEXT] == 0
+        if k == 7:  # the next write wraps to slot 0
+            assert clock.clock_i[_k.CK_N_EVENTS] == 8
     times, _ = clock.simulate(clock.now + 0.5, RandomStream(3))
     last = times[-1] if len(times) else 1.0
     assert clock.history_features(window)[-1] == clock.now - last

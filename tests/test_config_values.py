@@ -6,10 +6,11 @@ import math
 
 import pytest
 
-from hawkeslob.book import BookInitConfig, sample_initial_state
+from hawkeslob.book import BookInitConfig
 from hawkeslob.cli import load_app_config
 from hawkeslob.env import EpisodeConfig
 from hawkeslob.ppo import TrainerConfig
+from hawkeslob.qvi import sample_reduced_state
 from hawkeslob.rng import RandomStream
 
 
@@ -17,26 +18,24 @@ from hawkeslob.rng import RandomStream
     ({"p_mid_var": -4.0}, "p_mid_var"),
     ({"tick": 0.0}, "tick"),
     ({"tick": -0.01}, "tick"),
-    ({"inventory_std": -1.0}, "inventory_std"),
+    ({"spread_geom_p": 1.0}, "spread_geom_p"),
     ({"p_mid_mean": math.inf}, "p_mid_mean"),
     ({"p_mid_mean": math.nan}, "p_mid_mean"),
     ({"p_mid_var": math.inf}, "p_mid_var"),
     ({"tick": math.inf}, "tick"),
-    ({"inventory_std": math.inf}, "inventory_std"),
+    ({"redraw_geom_p": 0.0}, "redraw_geom_p"),
 ])
 def test_book_init_refuses_out_of_range(kwargs, named):
     with pytest.raises(ValueError, match=named):
         BookInitConfig(**kwargs)
 
 
-def test_zero_variances_fix_the_mid_and_inventory():
-    config = BookInitConfig(p_mid_var=0.0, inventory_std=0.0)
+def test_zero_mid_variance_fixes_the_mid():
+    config = BookInitConfig(p_mid_var=0.0)
     for seed in range(3):
-        book, agent = sample_initial_state(config, RandomStream(seed),
-                                           sample_inventory=True)
+        book, _ = sample_reduced_state(config, RandomStream(seed))
         center = round(config.p_mid_mean / config.tick)
         assert book.p_bid_ticks <= center <= book.p_ask_ticks
-        assert agent.inventory == 0
 
 
 @pytest.mark.parametrize("horizon, decision_dt", [

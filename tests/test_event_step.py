@@ -98,7 +98,7 @@ def test_powerlaw_log_exactly_full_is_not_a_wrap():
     for k in range(8):
         full.apply_event(k % 12, 0.1 * k)
         roomy.apply_event(k % 12, 0.1 * k)
-    assert full.clock_i[_k.CK_LOG_SIZE] == 8  # every slot used, none lost
+    assert full.clock_i[_k.CK_N_EVENTS] == 8  # every slot used, none lost
     assert np.array_equal(full.intensities(1.0), roomy.intensities(1.0))
 
 

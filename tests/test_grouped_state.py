@@ -4,6 +4,7 @@ kernel, its slot tables, and its recursion against a brute-force sum."""
 import numpy as np
 import pytest
 
+from hawkeslob import _kernels as _k
 from hawkeslob.hawkes import HawkesClock
 from hawkeslob.params import (KernelParams, default_kernel_params,
                               poisson_flow_params)
@@ -22,6 +23,20 @@ def _mixed_params() -> KernelParams:
              [1.2, 1.2, 5.0]]
     return KernelParams(kind="exponential", mu=[0.5, 0.3, 0.4],
                         alpha=alpha, gamma=gamma)
+
+
+def _array_args(params):
+    """``params.clock_args`` with every table a numpy array (the three
+    exponential ``a3`` rows each one array), which the kernels read with
+    the same bits: the reference form of the tables."""
+    kind, mu, a1, a2, a3, horizon = params.clock_args
+    if kind == _k.KIND_EXP:
+        a3 = (np.array(a3[0], dtype=np.float64),
+              np.array(a3[1], dtype=np.int64),
+              np.array(a3[2], dtype=np.float64))
+    return (kind, np.array(mu, dtype=np.float64),
+            np.array(a1, dtype=np.float64), np.array(a2, dtype=np.float64),
+            a3, horizon)
 
 
 def _brute_force(params, times, types, t):
@@ -49,14 +64,14 @@ def test_slot_count_per_kernel():
 
 def test_slot_tables():
     params = default_kernel_params()
-    _, _, a1, a2, _, _ = params.kernel_args
+    _, _, a1, a2, _, _ = _array_args(params)
     assert np.array_equal(a1, params.alpha)  # m = 1: a1 is alpha
     assert np.array_equal(a2, params.gamma[:, :1])
     # Built once per parameter set, shared by every clock.
     assert HawkesClock(params).state[2] is HawkesClock(params).state[2]
 
     mixed = _mixed_params()
-    _, _, a1, a2, _, _ = mixed.kernel_args
+    _, _, a1, a2, _, _ = _array_args(mixed)
     m = a2.shape[1]
     for i in range(3):
         for j in range(3):

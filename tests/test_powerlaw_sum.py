@@ -2,7 +2,9 @@
 per-event loop it replaced, on the log layouts where the kept entries are
 hard to find: a wrapped ring buffer, an entry exactly ``pl_horizon`` old,
 an empty log and a log older than the horizon. Its bits are those of a
-scalar loop in a fixed order."""
+scalar loop in a fixed order. The wrap check reads the one event counter
+and refuses a query exactly when an overwritten event is within the
+horizon, at event counts around the log's capacity."""
 
 import math
 
@@ -12,6 +14,8 @@ import pytest
 from hawkeslob import _kernels as _k
 from hawkeslob.hawkes import HawkesClock
 from hawkeslob.params import default_kernel_params
+from test_grouped_state import _array_args
+from test_sliding_history import WRAP_CASES
 
 PARAMS = default_kernel_params("powerlaw")
 
@@ -19,12 +23,12 @@ PARAMS = default_kernel_params("powerlaw")
 def _loop_reference(clock, t):
     """The per-event loop: newest entry first, stop at the first one older
     than the horizon."""
-    _, mu, a1, a2, a3, horizon = clock.params.kernel_args
+    _, mu, a1, a2, a3, horizon = _array_args(clock.params)
     cap = clock.log_t.shape[0]
-    log_next = clock.clock_i[_k.CK_LOG_NEXT]
+    n = clock.clock_i[_k.CK_N_EVENTS]
     out = mu.copy()
-    for k in range(clock.clock_i[_k.CK_LOG_SIZE]):
-        idx = (log_next - 1 - k) % cap
+    for k in range(min(n, cap)):
+        idx = (n - 1 - k) % cap
         age = t - clock.log_t[idx]
         if age > horizon:
             break
@@ -60,7 +64,7 @@ def test_wrapped_log_straddling_the_wrap_point(seed):
                           seed=seed)
     roomy = _clock_with(np.concatenate([old, recent]), seed=seed)
     t = recent[-1] + 0.5
-    log_next = wrapped.clock_i[_k.CK_LOG_NEXT]
+    log_next = wrapped.clock_i[_k.CK_N_EVENTS] % 16
     kept = np.flatnonzero(t - wrapped.log_t <= horizon)
     # The kept entries sit on both sides of the write position.
     assert 0 < log_next < 10
@@ -69,6 +73,25 @@ def test_wrapped_log_straddling_the_wrap_point(seed):
     _assert_matches_loop(wrapped, t)
     # Summed oldest first wherever the buffer holds them: the same bits.
     assert np.array_equal(wrapped.intensities(t), roomy.intensities(t))
+
+
+@pytest.mark.parametrize("capacity, n_events", WRAP_CASES)
+def test_wrap_is_refused_exactly_within_the_horizon(capacity, n_events):
+    """Events come in pairs at one time, so once the log has wrapped the
+    newest overwritten entry shares its time with the oldest kept one,
+    and the query raises exactly when an overwritten event lies within
+    the horizon."""
+    horizon = PARAMS.pl_horizon
+    times = np.arange(n_events) // 2 * 1.0
+    clock = _clock_with(times, log_capacity=capacity, seed=n_events)
+    assert clock.n_events == n_events == sum(clock.counts)
+    for t in clock.now + np.arange(0.0, horizon + 2.0, 0.5):
+        if n_events > capacity and \
+                t - times[n_events - capacity - 1] <= horizon:
+            with pytest.raises(ValueError, match="log_capacity"):
+                clock.intensities(t)
+        else:
+            _assert_matches_loop(clock, t)
 
 
 def test_entry_exactly_horizon_old_is_kept():
@@ -122,12 +145,13 @@ def test_random_logs_match_loop(seed):
 
 def _oldest_first_libm_loop(clock, t):
     """The array expression as a scalar loop: kept entries oldest first."""
-    _, mu, a1, a2, a3, horizon = PARAMS.kernel_args
+    _, mu, a1, a2, a3, horizon = _array_args(PARAMS)
     cap = clock.log_t.shape[0]
-    size = clock.clock_i[_k.CK_LOG_SIZE]
+    n = clock.clock_i[_k.CK_N_EVENTS]
+    size = min(n, cap)
     excitation = np.zeros(mu.shape[0])
     for k in range(size):
-        idx = (clock.clock_i[_k.CK_LOG_NEXT] - size + k) % cap
+        idx = (n - size + k) % cap
         age = t - clock.log_t[idx]
         if age > horizon:
             continue
@@ -145,7 +169,7 @@ def test_bits_are_an_oldest_first_libm_loop():
     gen = np.random.default_rng(7)
     clock = _clock_with(np.cumsum(gen.exponential(0.3, 400)),
                         log_capacity=256, seed=7)
-    assert clock.clock_i[_k.CK_LOG_SIZE] == 256  # a wrapped log
+    assert clock.n_events > 256  # a wrapped log
     for t in clock.now + np.sort(gen.uniform(0.0, 70.0, 40)):
         assert np.array_equal(clock.intensities(t),
                               _oldest_first_libm_loop(clock, t))

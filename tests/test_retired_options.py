@@ -52,6 +52,16 @@ def test_retired_trainer_key_is_refused_by_name(tmp_path, key, value):
     assert key not in default_config_document()["trainer"]
 
 
+def test_retired_init_key_is_refused_by_name(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"init": {"inventory_std": 2.0}}))
+    with pytest.raises(ValueError,
+                       match=r"unknown config key init\.inventory_std"):
+        load_app_config(str(path))
+    assert "inventory_std" not in BookInitConfig().to_dict()
+    assert "inventory_std" not in default_config_document()["init"]
+
+
 def test_one_act_per_policy():
     assert agents.CheckpointAgent is ppo.CheckpointAgent
     for name in ("prob_agent_act", "random_agent_act"):
@@ -113,6 +123,8 @@ def test_retired_parameters_are_gone():
     assert _params(detect_pump_and_dump) == ["inventory"]
     assert _params(poisson_flow_params) == ["mo_rate"]
     assert _params(HawkesClock) == ["params", "log_capacity"]
+    assert _params(book.sample_initial_state) == ["config", "rng",
+                                                  "initial_cash"]
 
 
 @pytest.mark.parametrize("profile", ["exponential", "powerlaw"])

@@ -14,6 +14,7 @@ not write through to the observation.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +36,9 @@ def _walk(clock, window):
     d = clock.params.n_types
     out = np.empty(d + 1)
     _k.history_counts(*clock.state, window, out)
-    newest = clock.log_t[clock.clock_i[_k.CK_LOG_NEXT] - 1]
-    out[d] = clock.now - newest if clock.clock_i[_k.CK_LOG_SIZE] else window
+    n = clock.clock_i[_k.CK_N_EVENTS]
+    newest = clock.log_t[(n - 1) % len(clock.log_t)]
+    out[d] = clock.now - newest if n else window
     return out
 
 
@@ -99,6 +101,30 @@ def test_a_lapped_tail_is_recounted():
     for k, t in enumerate((10.5, 10.55, 10.6, 10.62, 10.7, 12.0)):
         clock.apply_event(k, t)
         _check(clock, 10.0)
+
+
+# Event counts around the log's capacity: one short of it, exactly it, one
+# past it and several laps past it.
+WRAP_CASES = [(cap, n) for cap in (8, 16)
+              for n in (cap - 1, cap, cap + 1, 3 * cap + 5)]
+
+
+@pytest.mark.parametrize("capacity, n_events", WRAP_CASES)
+def test_one_event_counter_at_the_wrap(capacity, n_events):
+    clock = HawkesClock(PARAMS, log_capacity=capacity)
+    _check(clock, 1.0)
+    for k in range(n_events):
+        clock.apply_event(k % N_EVENT_TYPES, 0.05 * (k + 1))
+        if k % 3 == 0:
+            _check(clock, 1.0)
+    assert clock.n_events == n_events == sum(clock.counts)
+    for window in WINDOWS:
+        _check(clock, window)
+    # A burst that laps the oldest counted entry without a query between.
+    for k in range(n_events):
+        clock.apply_event(k % N_EVENT_TYPES, clock.now + 0.001)
+    _check(clock, WINDOWS[-1])
+    assert clock.n_events == 2 * n_events == sum(clock.counts)
 
 
 def _assembled(env):
